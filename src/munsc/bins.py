@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, InfeasibleBinDivisionError, PremiseError
-from .metric import CenterSet, Dataset, as_id_array, farthest_order, risk
+from .metric import CenterSet, Dataset, as_id_array, farthest_order, nearest_dists, risk
 
 __all__ = [
     "BinDivision",
@@ -230,7 +230,7 @@ def division_properties(div: BinDivision, data: Dataset) -> dict[str, bool]:
     prev_min = np.inf
     for b in div.bins:
         arr = as_id_array(b)
-        d = data.pairwise(arr, div.reference.to_array()).min(axis=1)
+        d = nearest_dists(arr, div.reference, data)[0]
         if d.size and float(d.max()) > prev_min:
             ok = False
             break

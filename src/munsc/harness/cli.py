@@ -7,6 +7,7 @@ import os
 import sys
 from pathlib import Path
 
+from ..errors import ContractError, MunscError
 from ..params import PROFILES
 from ..solvers import SOLVER_NAMES, get_solver
 from .bench import SUITES, run_suite
@@ -59,7 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except MunscError as exc:
+        print(f"munsc: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "gen":
         sample = generate_gaussian_mixture(
             n=args.n,
@@ -74,7 +82,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        data = load_dataset(args.data)
+        try:
+            data = load_dataset(args.data)
+        except (OSError, ValueError) as exc:  # ValueError covers ContractError on bad contents
+            raise ContractError(f"cannot read --data {args.data}: {exc}") from exc
         solver = get_solver(args.solver, max_iters=args.solver_max_iters)
         report = run_experiment(
             data,

@@ -9,10 +9,10 @@ from math import ceil, comb, floor
 import numpy as np
 
 from .errors import ContractError
-from .metric import CenterSet, Dataset, truncated_risk
+from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
 from .params import PROFILES, Profile, phi_alpha, psi_truncation_count
 from .select_proc import SelectProcState, make_config, observe
-from .solvers import Solver, local_search_solver, solve_exhaustive
+from .solvers import EXHAUSTIVE_BUDGET, Solver, local_search_solver, solve_exhaustive
 from .stream import InstrumentedStream
 
 __all__ = [
@@ -34,7 +34,7 @@ class OptimalSolution:
 
 
 def exact_opt_budget_ok(n: int, k: int) -> bool:
-    return comb(n, min(k, n)) <= 1_000_000
+    return comb(n, min(k, n)) <= EXHAUSTIVE_BUDGET
 
 
 def exact_opt(data: Dataset, k: int) -> OptimalSolution:
@@ -45,11 +45,9 @@ def exact_opt(data: Dataset, k: int) -> OptimalSolution:
     """
     ids = np.arange(data.n, dtype=np.int64)
     centers = solve_exhaustive(ids, k, data)
-    d = data.pairwise(ids, centers.to_array())
-    labels = np.argmin(d, axis=1)
-    carr = centers.to_array()
-    assignment = tuple(int(carr[p]) for p in labels)
-    return OptimalSolution(centers=centers, risk=float(np.sum(d.min(axis=1))), assignment=assignment)
+    dist, pos = nearest_dists(ids, centers, data)
+    assignment = tuple(int(c) for c in centers.to_array()[pos])
+    return OptimalSolution(centers=centers, risk=float(np.sum(dist)), assignment=assignment)
 
 
 def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile) -> dict:

@@ -206,6 +206,19 @@ class TestCli:
         assert payload["n"] == 240
         assert payload["ratio"] is not None
 
+    def test_contract_error_is_one_line(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("0,0\n1,1\n5,5\n")
+        assert cli_main(["run", "--data", str(data_path), "--k", "1", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("munsc: error: ") and err.count("\n") == 1
+
+    def test_missing_data_file_is_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert cli_main(["run", "--data", str(missing), "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"munsc: error: cannot read --data {missing}") and err.count("\n") == 1
+
     def test_bench_lemmas_suite(self, tmp_path):
         out = tmp_path / "rows.csv"
         assert cli_main([

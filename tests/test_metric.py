@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from munsc import CenterSet, ContractError, Dataset, far_r, nearest_center, risk, truncated_risk
+from munsc.metric import as_id_array, nearest_dists
 
 
 def linear_scan_nearest(data, x, centers):
@@ -85,6 +87,63 @@ class TestNearestCenter:
         t = CenterSet.of([0, 2])
         first = nearest_center(1, t, line_dataset)
         assert all(nearest_center(1, t, line_dataset) == first for _ in range(5))
+
+
+def assert_kernel_matches_pairwise(ds, ids, centers):
+    block = ds.pairwise(ids, centers.to_array())
+    dist, pos = nearest_dists(ids, centers, ds)
+    assert dist.tobytes() == block.min(axis=1).tobytes()
+    np.testing.assert_array_equal(pos, block.argmin(axis=1))
+
+
+class TestNearestDists:
+    """The screened kernel against the full distance block, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64, 65])
+    def test_matches_pairwise(self, dim):
+        rng = np.random.default_rng(dim)
+        normal = rng.normal(size=(120, dim))
+        lattice = np.round(normal)  # few distinct coordinates: many exact ties
+        lattice[60:] = lattice[:60]  # every row duplicated
+        ids = np.arange(120)
+        for pts in (normal, lattice):
+            for offset in (0.0, 1e3, 1e6, 1e8):
+                # at 1e-160 the squares underflow, at 1e155 they overflow
+                for scale in (1.0, 1e-160, 1e155):
+                    ds = Dataset.from_coords((pts + offset) * scale)
+                    centers = CenterSet.of(rng.choice(120, size=25, replace=False))
+                    with np.errstate(over="ignore"):
+                        assert_kernel_matches_pairwise(ds, ids, centers)
+
+    def test_matches_pairwise_across_tiles(self):
+        rng = np.random.default_rng(21)
+        ds = Dataset.from_coords(rng.normal(size=(1000, 8)) + 50.0 * rng.integers(0, 3, size=(1000, 1)))
+        ids = rng.permutation(1000)[:900]
+        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(1000, size=300, replace=False)))
+
+    def test_matrix_mode(self):
+        rng = np.random.default_rng(4)
+        pts = np.round(rng.normal(size=(60, 2)))
+        ids = np.arange(60)
+        ds = Dataset.from_matrix(Dataset.from_coords(pts).pairwise(ids, ids))
+        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(60, size=9, replace=False)))
+
+    def test_empty_ids(self, line_dataset):
+        dist, pos = nearest_dists(np.empty(0, dtype=np.int64), CenterSet.of([1]), line_dataset)
+        assert dist.size == 0 and pos.size == 0
+
+    def test_risk_peak_memory_is_tiled(self):
+        # the full 20000 x 2000 block alone would take 320 MB
+        rng = np.random.default_rng(8)
+        ds = Dataset.from_coords(rng.normal(size=(20_000, 8)))
+        centers = CenterSet.of(rng.choice(20_000, size=2_000, replace=False))
+        tracemalloc.start()
+        try:
+            risk(range(20_000), centers, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRisk:
@@ -181,9 +240,19 @@ class TestTruncatedRisk:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def test_as_id_array_inputs():
+    expected = [1, 3, 5]
+    for ids in ([5, 1, 3, 5], {3, 1, 5}, (i for i in (3, 5, 1)), range(1, 6, 2), np.array([5, 3, 1, 1])):
+        assert as_id_array(ids).tolist() == expected
+    assert as_id_array([]).tolist() == []
+    with pytest.raises(ContractError):
+        as_id_array([3, -1])
+
+
 def test_center_set_normalization():
     cs = CenterSet.of([5, 1, 5, 3])
     assert cs.ids == (1, 3, 5)
     assert len(cs) == 3 and 3 in cs and 2 not in cs
+    assert 0 not in cs and 6 not in cs and 5 in cs and 1 in cs
     with pytest.raises(ContractError):
         CenterSet((3, 1))
