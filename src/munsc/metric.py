@@ -32,8 +32,18 @@ PointId = int
 # Upper bound on temporary cells allocated by one chunk of a cross-distance
 # computation (8 bytes per cell).
 _CHUNK_CELLS = 4_000_000
+# Cells per array in one row chunk of `_pairwise_coords`. The kernel holds at
+# most 8 accumulators, one term and one partial sum per halving above 128 dims,
+# so a chunk stays far below _CHUNK_CELLS; blocks this small are also 1.5-1.8x
+# faster than 4M-cell ones (dims 2, 8 and 64 on a 2-vCPU AMD EPYC host).
+_KERNEL_CELLS = 65_536
 # Rows per tile of the nearest-center kernel.
 _TILE_ROWS = 256
+# `nearest_dists` builds the exact block when a row has at most this many
+# center-coordinate terms (|T| * dim): there the screen's set-up costs more
+# than it saves. The block was faster up to 32 centers at dim 2, 24 at dim 8
+# and 1 at dim 64, on 240 to 20000 rows (2-vCPU AMD EPYC host).
+_BLOCK_TERMS = 64
 
 
 def as_id_array(ids: Iterable[int]) -> np.ndarray:
@@ -192,14 +202,70 @@ class Dataset:
         self._check_ids(cols)
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
-        out = np.empty((rows.size, cols.size), dtype=np.float64)
-        b = self._coords[cols]
-        step = max(1, _CHUNK_CELLS // max(1, cols.size * (self.dim or 1)))
-        for lo in range(0, rows.size, step):
-            hi = min(rows.size, lo + step)
-            diff = self._coords[rows[lo:hi], None, :] - b[None, :, :]
-            out[lo:hi] = np.sqrt(np.sum(diff * diff, axis=2))
-        return out
+        return _pairwise_coords(self._coords, rows, cols)
+
+
+def _pairwise_coords(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """`sqrt(sum((x[r] - x[c]) ** 2))` for every (row, col) pair, one coordinate at a time.
+
+    Carries the bits of `np.sqrt(np.sum(diff * diff, axis=2))` on the
+    rows x cols x dim broadcast: each term is the same rounded square, and
+    `_sum_squares` adds the terms in numpy's order. Only 2-d blocks are live.
+    """
+    out = np.empty((rows.size, cols.size), dtype=np.float64)
+    b = np.ascontiguousarray(x[cols].T)  # (dim, cols): one contiguous row per coordinate
+    step = max(1, _KERNEL_CELLS // max(1, cols.size))
+    for lo in range(0, rows.size, step):
+        a = np.ascontiguousarray(x[rows[lo : lo + step]].T)
+        np.sqrt(_sum_squares(a, b), out=out[lo : lo + step])
+    return out
+
+
+def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over coordinates t of (a[t, i] - b[t, j]) ** 2, as an (i, j) block.
+
+    Mirrors the pairwise summation of numpy's `add.reduce` over a contiguous
+    axis of n = len(a) values: below 8 values a sequential sum; up to 128
+    values eight strided accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order; above
+    128 the two halves, split at n/2 rounded down to a multiple of 8, summed
+    recursively. numpy adds its identity 0 first, which changes nothing here
+    because a square is never -0.
+    """
+
+    def term(t: int) -> np.ndarray:
+        sq = np.subtract.outer(a[t], b[t])
+        return np.multiply(sq, sq, out=sq)
+
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((a.shape[1], b.shape[1]))
+    if n < 8:
+        acc = term(0)
+        for t in range(1, n):
+            acc += term(t)
+        return acc
+    if n <= 128:
+        r = [term(j) for j in range(8)]
+        full = n - n % 8
+        for i in range(8, full, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        r[0] += r[1]
+        r[2] += r[3]
+        r[0] += r[2]
+        r[4] += r[5]
+        r[6] += r[7]
+        r[4] += r[6]
+        r[0] += r[4]
+        for t in range(full, n):
+            r[0] += term(t)
+        return r[0]
+    half = n // 2
+    half -= half % 8
+    acc = _sum_squares(a[:half], b[:half])
+    acc += _sum_squares(a[half:], b[half:])
+    return acc
 
 
 def _centers_array(centers: CenterSet, data: Dataset) -> np.ndarray:
@@ -215,22 +281,25 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
 
     Both agree bit for bit with `data.pairwise(ids, centers.to_array())` and
     its `min` / `argmin` along axis 1: equal distances go to the smallest
-    center id. Matrix datasets gather their rows; coordinate datasets use the
-    screened kernel `_screened_nearest` and never build the n x |T| block.
+    center id. Matrix datasets, and coordinate datasets with few centers,
+    build that block tile by tile; other coordinate datasets use the screened
+    kernel `_screened_nearest` and never build the n x |T| block.
     """
     carr = _centers_array(centers, data)
     ids = np.asarray(ids, dtype=np.int64)
     data._check_ids(ids)
     dist = np.empty(ids.size, dtype=np.float64)
     pos = np.empty(ids.size, dtype=np.int64)
-    step = max(1, min(_TILE_ROWS, _CHUNK_CELLS // carr.size))
-    if data.matrix is not None:
+    x = data.coords
+    if x is None or carr.size * x.shape[1] <= _BLOCK_TERMS:
+        step = max(1, _KERNEL_CELLS // carr.size)
         for lo in range(0, ids.size, step):
-            block = data.matrix[np.ix_(ids[lo : lo + step], carr)]
+            rows = ids[lo : lo + step]
+            block = data.matrix[np.ix_(rows, carr)] if x is None else _pairwise_coords(x, rows, carr)
             dist[lo : lo + step] = block.min(axis=1)
             pos[lo : lo + step] = block.argmin(axis=1)
         return dist, pos
-    x = data.coords
+    step = max(1, min(_TILE_ROWS, _CHUNK_CELLS // carr.size))
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x[carr].mean(axis=0)
         c = x[carr] - shift

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError
-from .metric import CenterSet, Dataset, as_id_array
+from .metric import _CHUNK_CELLS, CenterSet, Dataset, as_id_array
 
 __all__ = [
     "Solver",
@@ -35,7 +35,6 @@ EXHAUSTIVE_BUDGET = 1_000_000
 # sweeps recompute distance columns in chunks to bound memory.
 _MATRIX_LIMIT = 4096
 _CHUNK_COLS = 2048
-_CHUNK_COMBOS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
     dmat = data.pairwise(ids, ids)
     best_risk = np.inf
     best_combo: tuple[int, ...] | None = None
-    chunk = max(1, _CHUNK_COMBOS // m)
+    chunk = max(1, _CHUNK_CELLS // m)
     combos_iter = itertools.combinations(range(m), k)
     while True:
         batch = list(itertools.islice(combos_iter, chunk))
@@ -164,12 +163,15 @@ def _sweep_best_swap(dmat_or_none, ids, centers, d1, d2, lab, data):
     best_risk = np.inf
     best_rem = -1
     best_ins = -1
-    step = m if dmat_or_none is not None else max(1, 4_000_000 // m)
+    # the GEMM's low bits depend on its block width: keep these widths
+    step = m if dmat_or_none is not None else max(1, _CHUNK_CELLS // m)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         cols = dmat_or_none[:, lo:hi] if dmat_or_none is not None else data.pairwise(ids, ids[lo:hi])
-        base = np.minimum(cols, d1[:, None]).sum(axis=0)  # risk if inserted, none removed
-        diff = np.minimum(cols, d2[:, None]) - np.minimum(cols, d1[:, None])
+        near = np.minimum(cols, d1[:, None])
+        base = near.sum(axis=0)  # risk if inserted, none removed
+        diff = np.minimum(cols, d2[:, None])
+        diff -= near
         corr = onehot @ diff  # (kk, hi-lo): per removed center correction
         cand = corr + base[None, :]
         cand[:, in_centers[lo:hi]] = np.inf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from munsc import CenterSet, ContractError, Dataset, far_r, nearest_center, risk, truncated_risk
+import munsc.metric as metric_mod
 from munsc.metric import as_id_array, nearest_dists
 
 
@@ -87,6 +88,62 @@ class TestNearestCenter:
         t = CenterSet.of([0, 2])
         first = nearest_center(1, t, line_dataset)
         assert all(nearest_center(1, t, line_dataset) == first for _ in range(5))
+
+
+def broadcast_pairwise(x, rows, cols):
+    """The rows x cols x dim broadcast formula that `Dataset.pairwise` must reproduce bit for bit."""
+    diff = x[rows][:, None, :] - x[cols][None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+class TestPairwise:
+    """The per-coordinate kernel against the broadcast formula, bit for bit."""
+
+    # every branch of numpy's pairwise summation: sequential, 8 accumulators
+    # with and without a remainder, and the recursive halving above 128
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 65, 128, 129, 130, 300])
+    def test_matches_broadcast(self, dim, monkeypatch):
+        monkeypatch.setattr(metric_mod, "_KERNEL_CELLS", 300)  # 10-row chunks: 4 per call
+        rng = np.random.default_rng(100 + dim)
+        normal = rng.normal(size=(40, dim))
+        lattice = np.round(normal)
+        lattice[20:] = lattice[:20]  # every row duplicated
+        rows = rng.permutation(40)
+        cols = np.arange(0, 40, 4).repeat(3)  # 30 columns, each id three times
+        for pts in (normal, lattice):
+            for offset in (0.0, 1e3, 1e6, 1e8):
+                # at 1e-160 the squares underflow, at 1e155 they overflow to inf
+                for scale in (1.0, 1e-160, 1e155):
+                    x = (pts + offset) * scale
+                    ds = Dataset.from_coords(x)
+                    with np.errstate(over="ignore"):
+                        block = ds.pairwise(rows, cols)
+                        twins = ds.pairwise(np.arange(20), np.arange(20, 40))
+                        assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+                    assert np.all(block[rows[:, None] == cols[None, :]] == 0.0)  # d(x, x) = 0
+                    if pts is lattice:  # ids i and i + 20 are the same point
+                        assert np.all(np.diag(twins) == 0.0)
+
+    def test_many_chunks_at_default_budget(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(700, 2)) * 1e4
+        ds = Dataset.from_coords(x)
+        rows, cols = rng.permutation(700), rng.permutation(700)[:300]  # 218 rows a chunk
+        assert ds.pairwise(rows, cols).tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 9, 130])
+    def test_point_to_ids_matches_a_pairwise_row(self, dim):
+        rng = np.random.default_rng(dim)
+        ds = Dataset.from_coords(rng.normal(size=(50, dim)) + 1e6)
+        ids = rng.permutation(50)
+        block = ds.pairwise(ids, ids)
+        for i, x in enumerate(ids):
+            assert ds.point_to_ids(int(x), ids).tobytes() == block[i].tobytes()
+
+    def test_empty_blocks(self, line_dataset):
+        empty = np.empty(0, dtype=np.int64)
+        assert line_dataset.pairwise(empty, [0, 1]).shape == (0, 2)
+        assert line_dataset.pairwise([0, 1], empty).shape == (2, 0)
 
 
 def assert_kernel_matches_pairwise(ds, ids, centers):

@@ -15,6 +15,8 @@ from munsc import (
     solve_exhaustive,
     solve_local_search,
 )
+import munsc.solvers as solvers_mod
+from munsc.metric import nearest_dists
 from munsc.solvers import EXHAUSTIVE_BUDGET
 
 
@@ -98,18 +100,98 @@ class TestLocalSearch:
         assert all(a >= b - 1e-9 for a, b in zip(risks, risks[1:]))
 
     def test_chunked_path_matches_matrix_path(self, pool_dataset, monkeypatch):
-        import munsc.solvers as solvers_mod
-
         full = solve_local_search(range(120), 3, pool_dataset)
         monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 10)
+        chunked = solve_local_search(range(120), 3, pool_dataset)  # one column block a sweep
+        assert full.ids == chunked.ids
+        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 120 * 20)  # six 20-column blocks a sweep
+        widths = []
+        pairwise = Dataset.pairwise
+
+        def spy(self, rows, cols):
+            widths.append(np.size(cols))
+            return pairwise(self, rows, cols)
+
+        monkeypatch.setattr(Dataset, "pairwise", spy)
         chunked = solve_local_search(range(120), 3, pool_dataset)
         assert full.ids == chunked.ids
+        assert widths.count(20) >= 12  # at least two sweeps of six blocks
+
+    def test_sweep_masks_centers_per_block(self, monkeypatch):
+        # centers 0, 1, 2 in a corner; the best insert is id 40, the middle of a
+        # ring, which sits at a center's offset within its 20-column block
+        angles = np.linspace(0.0, 2.0 * np.pi, 117, endpoint=False)
+        pts = np.column_stack([100.0 + 3.0 * np.cos(angles), 3.0 * np.sin(angles)])
+        pts = np.insert(pts, 37, [100.0, 0.0], axis=0)
+        ds = Dataset.from_coords(np.vstack([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], pts]))
+        ids, centers = np.arange(120), [0, 1, 2]
+        d1, d2, lab = solvers_mod._assignments(None, ids, centers, ds)
+        one = solvers_mod._sweep_best_swap(ds.pairwise(ids, ids), ids, centers, d1, d2, lab, ds)
+        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 120 * 20)
+        six = solvers_mod._sweep_best_swap(None, ids, centers, d1, d2, lab, ds)
+        assert one[2] == six[2] == 40 and one[1] == six[1]
+        assert six[0] == pytest.approx(one[0], rel=1e-12)
 
     def test_returns_subset_of_input(self, pool_dataset):
         subset = list(range(0, 300, 7))
         out = solve_local_search(subset, 4, pool_dataset)
         assert set(out.ids) <= set(subset)
         assert len(out) <= 4
+
+
+class TestDuplicateHeavy:
+    """Inputs with few distinct points: exact zeros, and ties to the smaller id."""
+
+    @staticmethod
+    def all_identical(dim):
+        return Dataset.from_coords(np.full((12, dim), 3.25))
+
+    @staticmethod
+    def three_distinct(dim):
+        # ids 0..11 hold points A, B, A, C, B, A, C, B, C, A, B, C
+        a, b, c = np.zeros(dim), np.eye(1, dim)[0], 5.0 * np.eye(1, dim)[0]
+        return Dataset.from_coords([[a, b, c][i] for i in (0, 1, 0, 2, 1, 0, 2, 1, 2, 0, 1, 2)])
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_pairwise_is_exactly_zero_on_duplicates(self, dim):
+        ids = np.arange(12)
+        assert np.all(self.all_identical(dim).pairwise(ids, ids) == 0.0)
+        ds = self.three_distinct(dim)
+        same = ds.coords[:, 0][:, None] == ds.coords[:, 0][None, :]
+        block = ds.pairwise(ids, ids)
+        assert np.all(block[same] == 0.0) and np.all(block[~same] > 0.0)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_all_identical_solvers(self, k):
+        ds = self.all_identical(2)
+        ls = solve_local_search(range(12), k, ds)
+        ex = solve_exhaustive(range(12), k, ds)
+        assert ls.ids == (0,)  # seeding finds no farther point than id 0
+        assert ex.ids == tuple(range(k))  # lexicographically smallest optimum
+        assert risk(range(12), ls, ds) == 0.0 and risk(range(12), ex, ds) == 0.0
+
+    def test_k_above_distinct_count_solvers(self):
+        ds = self.three_distinct(2)
+        ls = solve_local_search(range(12), 5, ds)
+        ex = solve_exhaustive(range(12), 5, ds)
+        assert ls.ids == (0, 1, 3)  # the smallest id of each distinct point
+        assert ex.ids == (0, 1, 2, 3, 4)
+        assert risk(range(12), ls, ds) == 0.0 and risk(range(12), ex, ds) == 0.0
+        for name in ("local-search", "exhaustive"):
+            assert len(get_solver(name).solve(range(12), 5, ds)) <= 5
+
+    # 5 centers x dim 2 builds the exact block; x dim 16 goes through the screen
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_nearest_dists_takes_smallest_position(self, dim):
+        ids = np.arange(12)
+        dist, pos = nearest_dists(ids, CenterSet.of([2, 5, 7]), self.all_identical(dim))
+        assert np.all(dist == 0.0) and np.all(pos == 0)
+        ds = self.three_distinct(dim)
+        centers = CenterSet.of([1, 3, 4, 5, 9])  # B, C, B, A, A
+        dist, pos = nearest_dists(ids, centers, ds)
+        expected = {0.0: 3, 1.0: 0, 5.0: 1}  # A -> id 5, B -> id 1, C -> id 3
+        assert np.all(dist == 0.0)
+        assert pos.tolist() == [expected[v] for v in ds.coords[:, 0]]
 
 
 class TestRegistry:
