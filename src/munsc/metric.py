@@ -39,11 +39,6 @@ _CHUNK_CELLS = 4_000_000
 _KERNEL_CELLS = 65_536
 # Rows per tile of the nearest-center kernel.
 _TILE_ROWS = 256
-# `nearest_dists` builds the exact block when a row has at most this many
-# center-coordinate terms (|T| * dim): there the screen's set-up costs more
-# than it saves. The block was faster up to 32 centers at dim 2, 24 at dim 8
-# and 1 at dim 64, on 240 to 20000 rows (2-vCPU AMD EPYC host).
-_BLOCK_TERMS = 64
 
 
 def as_id_array(ids: Iterable[int]) -> np.ndarray:
@@ -281,25 +276,22 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
 
     Both agree bit for bit with `data.pairwise(ids, centers.to_array())` and
     its `min` / `argmin` along axis 1: equal distances go to the smallest
-    center id. Matrix datasets, and coordinate datasets with few centers,
-    build that block tile by tile; other coordinate datasets use the screened
-    kernel `_screened_nearest` and never build the n x |T| block.
+    center id. Matrix datasets gather their rows; coordinate datasets use the
+    screened kernel `_screened_nearest` and never build the n x |T| block.
     """
     carr = _centers_array(centers, data)
     ids = np.asarray(ids, dtype=np.int64)
     data._check_ids(ids)
     dist = np.empty(ids.size, dtype=np.float64)
     pos = np.empty(ids.size, dtype=np.int64)
-    x = data.coords
-    if x is None or carr.size * x.shape[1] <= _BLOCK_TERMS:
-        step = max(1, _KERNEL_CELLS // carr.size)
+    step = max(1, min(_TILE_ROWS, _CHUNK_CELLS // carr.size))
+    if data.matrix is not None:
         for lo in range(0, ids.size, step):
-            rows = ids[lo : lo + step]
-            block = data.matrix[np.ix_(rows, carr)] if x is None else _pairwise_coords(x, rows, carr)
+            block = data.matrix[np.ix_(ids[lo : lo + step], carr)]
             dist[lo : lo + step] = block.min(axis=1)
             pos[lo : lo + step] = block.argmin(axis=1)
         return dist, pos
-    step = max(1, min(_TILE_ROWS, _CHUNK_CELLS // carr.size))
+    x = data.coords
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x[carr].mean(axis=0)
         c = x[carr] - shift
@@ -313,8 +305,9 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
 def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """`sqrt(sum(diff * diff))` for each (rows[i], cols[i]) pair, chunked.
 
-    Each pair reduces one contiguous row of `dim` values, exactly as
-    `Dataset.pairwise` does, so the results carry the same bits.
+    Each pair reduces one contiguous row of `dim` values with numpy's own
+    pairwise summation, the order that `_sum_squares` mirrors for
+    `Dataset.pairwise`; `TestPairwise` checks that the two agree bit for bit.
     """
     out = np.empty(rows.size, dtype=np.float64)
     step = max(1, _CHUNK_CELLS // x.shape[1])

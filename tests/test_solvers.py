@@ -180,7 +180,6 @@ class TestDuplicateHeavy:
         for name in ("local-search", "exhaustive"):
             assert len(get_solver(name).solve(range(12), 5, ds)) <= 5
 
-    # 5 centers x dim 2 builds the exact block; x dim 16 goes through the screen
     @pytest.mark.parametrize("dim", [2, 16])
     def test_nearest_dists_takes_smallest_position(self, dim):
         ids = np.arange(12)
