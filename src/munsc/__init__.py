@@ -36,7 +36,6 @@ from .select_proc import (
     SelectProcConfig,
     SelectProcReport,
     SelectProcState,
-    derive_parameters,
     finish,
     make_config,
     observe,
@@ -73,7 +72,6 @@ __all__ = [
     "build_division",
     "check_well_represented",
     "compute_schedule",
-    "derive_parameters",
     "division_properties",
     "exact_opt",
     "far_r",

@@ -17,7 +17,11 @@ from .validate import run_validate_suite
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MUNSC_SEED", "0"))
+    raw = os.environ.get("MUNSC_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ContractError(f"MUNSC_SEED must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,9 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except MunscError as exc:
         print(f"munsc: error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,8 @@ __all__ = ["ExperimentReport", "run_experiment", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
+_ORACLE_MAX_ITERS = 100  # sweeps of the full-data local-search reference
+
 
 @dataclass(frozen=True)
 class CopySummary:
@@ -93,7 +95,6 @@ def run_experiment(
     solver: Solver,
     permutation_seed: int,
     oracle: str = "auto",
-    oracle_max_iters: int = 100,
 ) -> ExperimentReport:
     """One multiscale run over an instrumented stream, measured and serialized.
 
@@ -102,14 +103,15 @@ def run_experiment(
     "exact", "local-search" force a choice; "none" skips the reference
     (ratio and oracle fields stay null).
     """
-    prof = PROFILES[profile] if isinstance(profile, str) else profile
+    if isinstance(profile, str):
+        if profile not in PROFILES:
+            raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+        profile = PROFILES[profile]
     t0 = time.perf_counter()
-    schedule = compute_schedule(k, delta, data.n, prof)
+    schedule = compute_schedule(k, delta, data.n, profile)
     perm = np.random.default_rng(permutation_seed).permutation(data.n)
     stream = InstrumentedStream(perm)
     result: MunscResult = run_stream(stream, schedule, data, solver)
-    if len(stream.decision_log) != data.n:
-        raise ContractError("incomplete decision log")  # unreachable by construction
 
     warnings = list(result.warnings)
     all_ids = range(data.n)
@@ -126,7 +128,7 @@ def run_experiment(
         oracle_label: str | None = "exact"
         oracle_risk: float | None = opt.risk
     elif oracle == "local-search":
-        ref = solve_local_search(all_ids, k, data, max_iters=oracle_max_iters)
+        ref = solve_local_search(all_ids, k, data, max_iters=_ORACLE_MAX_ITERS)
         oracle_label = "local-search (beta=5 reference)"
         oracle_risk = risk(all_ids, ref, data)
     elif oracle == "none":
@@ -156,7 +158,7 @@ def run_experiment(
         n=data.n,
         k=k,
         delta=delta,
-        profile=prof.name,
+        profile=profile.name,
         solver=solver.name,
         solver_beta=solver.beta,
         permutation_seed=permutation_seed,

@@ -14,7 +14,7 @@ from math import ceil
 
 from .errors import ContractError
 from .metric import CenterSet, Dataset
-from .params import PROFILES, Profile, alpha_schedule, k_plus_size, phi_alpha, quota_default
+from .params import PROFILES, Profile, alpha_schedule, phi_alpha
 from .select_proc import Decision, SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
 from .solvers import Solver
 from .stream import InstrumentedStream
@@ -51,10 +51,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
         raise ContractError("need at least 4 stream points for one copy")
     sched = alpha_schedule(k, delta)
     dprime = sched.delta_prime
-    last_alpha = sched.alphas[-1]
-    tau = phi_alpha(k, dprime, last_alpha, profile)
-    kp = k_plus_size(k, dprime, profile)
-    last_quota = quota_default(kp, dprime)
+    tau = phi_alpha(k, dprime, sched.alphas[-1], profile)  # every copy thresholds at the last scale
     s1 = ceil(sched.alpha_1 * n)
 
     warnings: list[str] = []
@@ -68,14 +65,14 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
                 warnings.append(
                     f"copy {i + 1}: calculation phases clamped from {s} to {s_eff} points"
                 )
-            p1, p2, p3 = s_eff, 2 * s_eff, n
+            p1, p3 = s_eff, n
             gamma = 1.0 - 2.0 * a
-            quota = last_quota
+            quota = None  # the default quota of the enlarged solution size
         else:
             if 2 * s > n:
                 warnings.append(f"copy {i + 1} dropped: 2*{s} exceeds the stream length {n}")
                 continue
-            p1, p2 = s, 2 * s
+            p1 = s
             p3 = min(4 * s, n)
             if p3 < 4 * s:
                 warnings.append(f"copy {i + 1}: selection phase clamped to the stream end")
@@ -88,12 +85,11 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
                 delta=dprime,
                 alpha=a,
                 gamma=gamma,
-                quota=quota,
-                tau=tau,
                 profile=profile,
                 p1_end=p1,
-                p2_end=p2,
                 p3_end=p3,
+                quota=quota,
+                tau=tau,
             )
         )
     return Schedule(
@@ -110,7 +106,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
 class StreamRecord:
     """Per-index aggregate logged to the instrumented stream."""
 
-    index: int
     point: int
     selected: bool
     copy_decisions: tuple[Decision, ...]
@@ -155,7 +150,7 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
         if selected and x not in seen:
             seen.add(x)
             selection_order.append(x)
-        st.log_decision(t, StreamRecord(t, x, selected, tuple(decisions)))
+        st.log_decision(t, StreamRecord(x, selected, tuple(decisions)))
 
     reports = tuple(finish(s) for s in states)
     warnings = list(schedule.warnings)

@@ -4,14 +4,14 @@ risk-estimate bounds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, floor
+from math import comb, floor
 
 import numpy as np
 
 from .errors import ContractError
 from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
-from .params import PROFILES, Profile, phi_alpha, psi_truncation_count
-from .select_proc import SelectProcState, make_config, observe
+from .params import PROFILES, Profile
+from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
 from .solvers import EXHAUSTIVE_BUDGET, Solver, local_search_solver, solve_exhaustive
 from .stream import InstrumentedStream
 
@@ -50,27 +50,31 @@ def exact_opt(data: Dataset, k: int) -> OptimalSolution:
     return OptimalSolution(centers=centers, risk=float(np.sum(dist)), assignment=assignment)
 
 
+def _lemma_truncations(cfg: SelectProcConfig) -> tuple[int, int]:
+    """Drop counts of the two risk-estimate bounds: floor(k * phi) for the
+    upper bound and floor(5 * (k+1) * phi) for the lower bound."""
+    return floor(cfg.k * cfg.phi), floor(5 * (cfg.k + 1) * cfg.phi)
+
+
 def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile) -> dict:
     """Describe whether the two risk-estimate bounds are non-vacuous here.
 
-    The upper bound compares against a truncated risk over the full dataset
-    discarding floor(k * phi) points; the lower bound discards
-    floor(5 * (k+1) * phi) points from everything past phase 1. Either bound
-    holds trivially once its truncation swallows the whole set, and the
-    estimate itself degenerates to zero when its truncation count reaches the
-    phase-2 size.
+    The upper bound compares against a truncated risk over the full dataset;
+    the lower bound truncates everything past phase 1 (drop counts in
+    `_lemma_truncations`). Either bound holds trivially once its truncation
+    swallows the whole set, and the estimate itself degenerates to zero when
+    its truncation count reaches the phase-2 size. Raises ContractError when
+    no copy can run at this alpha and n.
     """
-    phi = phi_alpha(k, delta, alpha, profile)
-    p1 = ceil(alpha * n)
-    drop_psi = psi_truncation_count(k, alpha, phi)
-    r_upper = floor(k * phi)
-    r_lower = floor(5 * (k + 1) * phi)
+    cfg = make_config(k, n, delta, alpha, profile)
+    p1 = cfg.p1_end
+    r_upper, r_lower = _lemma_truncations(cfg)
     return {
-        "phi_alpha": phi,
+        "phi_alpha": cfg.phi,
         "p1_size": p1,
         "p2_size": p1,
-        "psi_truncation": drop_psi,
-        "psi_degenerate": drop_psi >= p1,
+        "psi_truncation": cfg.psi_drop,
+        "psi_degenerate": cfg.psi_drop >= p1,
         "upper_truncation": r_upper,
         "upper_vacuous": r_upper >= n,
         "lower_truncation": r_lower,
@@ -93,16 +97,14 @@ def psi_sandwich_frequency(
     Each trial draws a fresh permutation, runs one copy through its two
     calculation phases, and checks
       (1/9) * R_drop5(X \\ P1, T_ref)  <=  psi  <=  R_dropK(X, T_ref)
-    against full-dataset truncated risks, with drop counts floor(5(k+1)*phi)
-    and floor(k*phi). Returns (upper_ok_rate, lower_ok_rate).
+    against full-dataset truncated risks, with the drop counts of
+    `_lemma_truncations`. Returns (upper_ok_rate, lower_ok_rate).
     """
     if trials < 1:
         raise ContractError("trials must be positive")
     solver = solver or local_search_solver()
     cfg = make_config(k, data.n, delta, alpha, profile)
-    phi = phi_alpha(k, delta, alpha, profile)
-    r_upper = floor(k * phi)
-    r_lower = floor(5 * (k + 1) * phi)
+    r_upper, r_lower = _lemma_truncations(cfg)
     all_ids = np.arange(data.n, dtype=np.int64)
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ points are never revoked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
@@ -31,12 +31,10 @@ from .params import (
 from .solvers import Solver
 
 __all__ = [
-    "DerivedParams",
     "SelectProcConfig",
     "SelectProcState",
     "SelectProcReport",
     "Decision",
-    "derive_parameters",
     "make_config",
     "observe",
     "finish",
@@ -46,28 +44,15 @@ _RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DerivedParams:
-    """Scalars derived from (k, delta, alpha) under a constants profile."""
-
-    phi_alpha: float
-    k_plus: int
-    quota_default: int
-
-
-def derive_parameters(k: int, delta: float, alpha: float, profile: Profile) -> DerivedParams:
-    """Compute the size threshold, enlarged solution size, and default quota."""
-    phi = phi_alpha(k, delta, alpha, profile)
-    kp = k_plus_size(k, delta, profile)
-    return DerivedParams(phi_alpha=phi, k_plus=kp, quota_default=quota_default(kp, delta))
-
-
-@dataclass(frozen=True)
 class SelectProcConfig:
     """One copy's full configuration, including integer phase boundaries.
 
     The first two phases have equal size (p2_end == 2 * p1_end). Selection
     happens on indices [p2_end, p3_end); any stream suffix past p3_end is
-    observed but ignored.
+    observed but ignored. The scalars fixed by (k, delta, alpha) are derived
+    here once: the size threshold `phi`, the enlarged solution size `k_plus`
+    and the psi truncation count `psi_drop`. `quota` defaults to the quota of
+    `k_plus` and `tau` to `phi`.
     """
 
     k: int
@@ -75,12 +60,14 @@ class SelectProcConfig:
     delta: float
     alpha: float
     gamma: float
-    quota: int
-    tau: float
     profile: Profile
     p1_end: int
-    p2_end: int
     p3_end: int
+    quota: int | None = None
+    tau: float | None = None
+    phi: float = field(init=False)
+    k_plus: int = field(init=False)
+    psi_drop: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.n < 1:
@@ -91,14 +78,25 @@ class SelectProcConfig:
             raise ContractError(f"alpha must lie in (0, 1/6], got {self.alpha}")
         if not (self.alpha < self.gamma <= 1.0 - 2.0 * self.alpha + _RANGE_TOL):
             raise ContractError(f"gamma must lie in (alpha, 1-2*alpha], got {self.gamma}")
+        if not (0 < self.p1_end and self.p2_end <= self.p3_end <= self.n):
+            raise ContractError("phase boundaries must satisfy 0 < p1 and 2*p1 <= p3 <= n")
+        phi = phi_alpha(self.k, self.delta, self.alpha, self.profile)
+        k_plus = k_plus_size(self.k, self.delta, self.profile)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "k_plus", k_plus)
+        object.__setattr__(self, "psi_drop", psi_truncation_count(self.k, self.alpha, phi))
+        if self.quota is None:
+            object.__setattr__(self, "quota", quota_default(k_plus, self.delta))
+        if self.tau is None:
+            object.__setattr__(self, "tau", phi)
         if self.quota < 1:
             raise ContractError("quota must be positive")
         if self.tau <= 0:
             raise ContractError("tau must be positive")
-        if not (0 < self.p1_end <= self.p2_end <= self.p3_end <= self.n):
-            raise ContractError("phase boundaries must satisfy 0 < p1 <= p2 <= p3 <= n")
-        if self.p2_end - self.p1_end != self.p1_end:
-            raise ContractError("the first two phases must have equal size")
+
+    @property
+    def p2_end(self) -> int:
+        return 2 * self.p1_end
 
 
 def make_config(
@@ -112,9 +110,8 @@ def make_config(
     tau: float | None = None,
 ) -> SelectProcConfig:
     """Standalone configuration with the defaults used by a full-stream copy:
-    gamma = 1 - 2*alpha (read everything), tau = phi_alpha, quota from the
-    enlarged solution size."""
-    derived = derive_parameters(k, delta, alpha, profile)
+    gamma = 1 - 2*alpha (read everything); quota and tau default as in
+    SelectProcConfig."""
     if gamma is None:
         gamma = 1.0 - 2.0 * alpha
         p3_end = n
@@ -129,12 +126,11 @@ def make_config(
         delta=delta,
         alpha=alpha,
         gamma=gamma,
-        quota=quota if quota is not None else derived.quota_default,
-        tau=tau if tau is not None else derived.phi_alpha,
         profile=profile,
         p1_end=p1_end,
-        p2_end=2 * p1_end,
         p3_end=max(p3_end, 2 * p1_end),
+        quota=quota,
+        tau=tau,
     )
 
 
@@ -142,7 +138,6 @@ def make_config(
 class Decision:
     """Outcome for a single stream index."""
 
-    index: int
     point: int
     kind: str  # "selected" | "not_selected" | "ignored"
     reason: str | None  # "far" | "quota" | "near_flag" when selected
@@ -184,20 +179,9 @@ class SelectProcState:
         self._center_ids: np.ndarray | None = None
         self._center_pts: np.ndarray | None = None
 
-    @property
-    def phase(self) -> str:
-        c = self.config
-        if self.count < c.p1_end:
-            return "one"
-        if self.count < c.p2_end:
-            return "two"
-        if self.count < c.p3_end:
-            return "three"
-        return "done"
-
     def _finish_phase1(self, data: Dataset, solver: Solver) -> None:
         assert self.buffer_p1 is not None
-        kp = k_plus_size(self.config.k, self.config.delta, self.config.profile)
+        kp = self.config.k_plus
         self.t_alpha = solver.solve(self.buffer_p1, kp, data)
         if len(self.t_alpha) > kp:
             raise ContractError("solver returned more centers than requested")
@@ -212,8 +196,7 @@ class SelectProcState:
 
     def _finish_phase2(self) -> None:
         c = self.config
-        phi = phi_alpha(c.k, c.delta, c.alpha, c.profile)
-        drop = psi_truncation_count(c.k, c.alpha, phi)
+        drop = c.psi_drop
         dists = np.sort(np.asarray(self.dists_p2, dtype=np.float64))
         if drop >= dists.size:
             self.psi = 0.0
@@ -254,14 +237,14 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> De
         state.buffer_p1.append(int(x))
         if idx == c.p1_end - 1:
             state._finish_phase1(data, solver)
-        return Decision(idx, x, "not_selected", None, 1, None)
+        return Decision(x, "not_selected", None, 1, None)
 
     if idx < c.p2_end:
         _, d = state._nearest_ref(x, data)
         state.dists_p2.append(d)
         if idx == c.p2_end - 1:
             state._finish_phase2()
-        return Decision(idx, x, "not_selected", None, 2, d)
+        return Decision(x, "not_selected", None, 2, d)
 
     if idx < c.p3_end:
         pos, d = state._nearest_ref(x, data)
@@ -274,15 +257,15 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> De
         elif not state.near[pos]:
             reason = "near_flag"
         else:
-            return Decision(idx, x, "not_selected", None, 3, d)
+            return Decision(x, "not_selected", None, 3, d)
         state.selected.append(int(x))
         state.selected_counts[pos] += 1
         state.reason_counts[reason] += 1
         if d <= state.threshold:
             state.near[pos] = True
-        return Decision(idx, x, "selected", reason, 3, d)
+        return Decision(x, "selected", reason, 3, d)
 
-    return Decision(idx, x, "ignored", None, 0, None)
+    return Decision(x, "ignored", None, 0, None)
 
 
 def finish(state: SelectProcState) -> SelectProcReport:

@@ -189,16 +189,13 @@ def solve_local_search(
     k: int,
     data: Dataset,
     max_iters: int = 100,
-    seed: int | None = None,
 ) -> CenterSet:
     """Single-swap local search: stop when no swap improves the risk.
 
     Fully deterministic: greedy farthest-point initialization from the
     smallest id, best-improvement sweeps, and a strict relative improvement
-    requirement of 1e-12 to avoid float-noise cycling. `seed` is accepted for
-    interface compatibility and does not influence the result.
+    requirement of 1e-12 to avoid float-noise cycling.
     """
-    del seed
     ids = as_id_array(points)
     if ids.size == 0:
         raise ContractError("input set must be nonempty")
@@ -225,24 +222,24 @@ def solve_local_search(
 
 
 def exhaustive_solver() -> Solver:
-    return Solver(name="exhaustive", beta=1.0, _fn=lambda ids, k, d: solve_exhaustive(ids, k, d))
+    return Solver(name="exhaustive", beta=1.0, _fn=solve_exhaustive)
 
 
-def local_search_solver(max_iters: int = 100, seed: int | None = None) -> Solver:
+def local_search_solver(max_iters: int = 100) -> Solver:
     return Solver(
         name="local-search",
         beta=5.0,
-        _fn=lambda ids, k, d: solve_local_search(ids, k, d, max_iters=max_iters, seed=seed),
+        _fn=lambda ids, k, d: solve_local_search(ids, k, d, max_iters=max_iters),
     )
 
 
 SOLVER_NAMES = ("exhaustive", "local-search")
 
 
-def get_solver(name: str, max_iters: int = 100, seed: int | None = None) -> Solver:
+def get_solver(name: str, max_iters: int = 100) -> Solver:
     """Solver registry used by the CLI and harness."""
     if name == "exhaustive":
         return exhaustive_solver()
     if name == "local-search":
-        return local_search_solver(max_iters=max_iters, seed=seed)
+        return local_search_solver(max_iters=max_iters)
     raise ContractError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from munsc import (
+    ContractError,
     Dataset,
     InstrumentedStream,
     StreamProtocolError,
@@ -186,6 +187,14 @@ class TestRunExperiment:
         back = ExperimentReport.from_dict(json.loads(rep.to_json()))
         assert back == rep
 
+    def test_unknown_profile_names_the_choices(self):
+        data = Dataset.from_coords(np.zeros((240, 2)))
+        with pytest.raises(ContractError, match="'nope'.*'desk', 'paper'"):
+            run_experiment(
+                data, k=2, delta=0.2, profile="nope",
+                solver=local_search_solver(max_iters=10), permutation_seed=0,
+            )
+
 
 class TestCli:
     def test_gen_run_roundtrip(self, tmp_path, capsys):
@@ -244,6 +253,13 @@ class TestCli:
         from munsc.harness.cli import _default_seed
 
         assert _default_seed() == 17
+
+    @pytest.mark.parametrize("command", [["validate"], ["gen", "--n", "10", "--out", "unused.csv"]])
+    def test_non_integer_env_seed_is_one_line(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("MUNSC_SEED", "abc")
+        assert cli_main(command) == 2
+        err = capsys.readouterr().err
+        assert err == "munsc: error: MUNSC_SEED must be an integer, got 'abc'\n"
 
 
 def test_naive_distance_matches_dataset():

@@ -14,6 +14,7 @@ from munsc import (
     run_stream,
 )
 from munsc.harness import generate_gaussian_mixture
+from munsc.params import k_plus_size, phi_alpha, psi_truncation_count, quota_default
 
 PAPER = PROFILES["paper"]
 DESK = PROFILES["desk"]
@@ -62,9 +63,23 @@ class TestSchedule:
 
     def test_clamped_small_stream_warns(self):
         s = compute_schedule(2, 0.1, 10, PAPER)
-        assert s.warnings
+        assert any("calculation phases clamped" in w for w in s.warnings)  # a case of test_copy_scalars_match_params
         for c in s.copies:
             assert c.p3_end <= 10 and c.p2_end <= 10
+
+    @pytest.mark.parametrize("profile", [PAPER, DESK], ids=["paper", "desk"])
+    @pytest.mark.parametrize("k,delta,n", [(2, 0.1, 1200), (2, 0.1, 10), (3, 0.2, 5000), (8, 0.2, 20_000), (5, 0.9, 37)])
+    def test_copy_scalars_match_params(self, profile, k, delta, n):
+        s = compute_schedule(k, delta, n, profile)
+        dprime = s.delta_prime
+        k_plus = k_plus_size(k, dprime, profile)
+        for c in s.copies:
+            phi = phi_alpha(k, dprime, c.alpha, profile)
+            assert c.phi == phi
+            assert c.k_plus == k_plus
+            assert c.psi_drop == psi_truncation_count(k, c.alpha, phi)
+            assert c.tau == s.tau == phi_alpha(k, dprime, s.copies[-1].alpha, profile)
+        assert [c.quota for c in s.copies] == [1] * (len(s.copies) - 1) + [quota_default(k_plus, dprime)]
 
     def test_minimum_stream_length(self):
         with pytest.raises(ContractError):

@@ -8,6 +8,7 @@ import pytest
 from munsc import (
     BudgetExceededError,
     CenterSet,
+    ContractError,
     Dataset,
     PROFILES,
     exact_opt,
@@ -69,6 +70,11 @@ class TestExactOpt:
 
 
 class TestPsiSandwich:
+    @pytest.mark.parametrize("n,alpha", [(400, 0.2), (1, 0.1)])  # alpha > 1/6; 2*ceil(alpha*n) > n
+    def test_report_rejects_what_no_copy_can_run(self, n, alpha):
+        with pytest.raises(ContractError):
+            sandwich_report(n, 2, 0.2, alpha, DESK)
+
     def test_degenerate_estimate_passes_upper_trivially(self):
         # paper constants at desk scale: truncation swallows phase 2, psi = 0
         rng = np.random.default_rng(2)

@@ -10,8 +10,8 @@ from munsc import (
     ContractError,
     Dataset,
     PROFILES,
+    SelectProcConfig,
     SelectProcState,
-    derive_parameters,
     finish,
     local_search_solver,
     make_config,
@@ -27,18 +27,32 @@ PAPER = PROFILES["paper"]
 
 class TestDeriveParameters:
     def test_paper_example(self):
-        d = derive_parameters(2, 0.1, 0.1, PAPER)
-        assert d.phi_alpha == pytest.approx(9692.2, rel=1e-4)
-        assert d.k_plus == 248
-        assert d.quota_default == 15
+        cfg = make_config(2, 1000, 0.1, 0.1, PAPER)
+        assert cfg.phi == pytest.approx(9692.2, rel=1e-4)
+        assert cfg.k_plus == 248
+        assert cfg.quota == 15
+        assert cfg.tau == cfg.phi
+        assert cfg.psi_drop == math.floor(2 * 0.1 * 3 * cfg.phi)
 
-    def test_alpha_one_unit_case(self):
-        d = derive_parameters(2, 0.1, 1.0, PAPER)
-        assert d.phi_alpha == pytest.approx(150.0 * math.log(640.0))
+    def test_largest_alpha_case(self):
+        # phi_alpha accepts alpha up to 1 (see test_params); a copy stops at 1/6
+        cfg = make_config(2, 1200, 0.1, 1.0 / 6.0, PAPER)
+        assert cfg.phi == pytest.approx(6 * 150.0 * math.log(640.0))
+        with pytest.raises(ContractError):
+            make_config(2, 1200, 0.1, 1.0, PAPER)
 
     def test_out_of_range(self):
         with pytest.raises(ContractError):
-            derive_parameters(2, 1.2, 0.1, PAPER)
+            make_config(2, 1000, 1.2, 0.1, PAPER)
+
+    def test_derived_scalars_are_read_only(self):
+        with pytest.raises(TypeError):
+            SelectProcConfig(k=2, n=100, delta=0.1, alpha=0.1, gamma=0.8, profile=PAPER,
+                             p1_end=10, p3_end=100, phi=1.0)
+        cfg = make_config(2, 1000, 0.1, 0.1, PAPER, quota=3, tau=2.5)
+        assert (cfg.quota, cfg.tau, cfg.p2_end) == (3, 2.5, 200)
+        with pytest.raises(AttributeError):
+            cfg.k_plus = 1
 
 
 class TestConfig:
