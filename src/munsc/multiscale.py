@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .errors import ContractError
 from .metric import CenterSet, Dataset
@@ -102,8 +103,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StreamRecord:
+class StreamRecord(NamedTuple):
     """Per-index aggregate logged to the instrumented stream."""
 
     point: int

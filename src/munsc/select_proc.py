@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,7 @@ def make_config(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome for a single stream index."""
 
     point: int
@@ -216,8 +216,9 @@ class SelectProcState:
             d = data.matrix[x, self._center_ids]
         else:
             diff = self._center_pts - data.coords[x]
-            d = np.sqrt(np.sum(diff * diff, axis=1))
-        pos = int(np.argmin(d))
+            diff *= diff
+            d = np.sqrt(np.add.reduce(diff, axis=1))
+        pos = int(d.argmin())
         return pos, float(d[pos])
 
 

@@ -8,7 +8,6 @@ beta = 5.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable
@@ -34,7 +33,6 @@ EXHAUSTIVE_BUDGET = 1_000_000
 # Matrix-backed local search up to this many input points; above it, swap
 # sweeps recompute distance columns in chunks to bound memory.
 _MATRIX_LIMIT = 4096
-_CHUNK_COLS = 2048
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,11 @@ class Solver:
 def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
     """True minimizer over all <=k-subsets of the input.
 
-    Deterministic: among optima, the lexicographically smallest subset wins.
-    Raises BudgetExceededError when C(|S|, k) exceeds the enumeration budget.
+    Returns the lexicographically first subset (in ascending id order) whose
+    `risk()` over the input is minimal, bit for bit: each candidate's risk is
+    summed exactly as `risk()` sums it, one contiguous row of distances in
+    ascending id order. Raises BudgetExceededError when C(|S|, k) exceeds the
+    enumeration budget.
     """
     ids = as_id_array(points)
     if ids.size == 0:
@@ -80,39 +81,81 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
         )
 
     if k == 1:
-        # Column sums without materializing the full matrix.
+        # Row sums of row blocks, without materializing the full matrix.
         best_risk = np.inf
         best_pos = 0
-        step = max(1, _CHUNK_COLS)
+        step = max(1, _CHUNK_CELLS // m)
         for lo in range(0, m, step):
-            cols = ids[lo : min(m, lo + step)]
-            sums = data.pairwise(ids, cols).sum(axis=0)
+            sums = data.pairwise(ids[lo : lo + step], ids).sum(axis=1)
             pos = int(np.argmin(sums))
             if sums[pos] < best_risk:
                 best_risk = float(sums[pos])
                 best_pos = lo + pos
         return CenterSet.of([int(ids[best_pos])])
 
-    dmat = data.pairwise(ids, ids)
+    # rows[c] holds every point's distance to candidate c, contiguously
+    rows = np.ascontiguousarray(data.pairwise(ids, ids).T)
+    _, best = _best_completion(rows, None, 0, k)
+    return CenterSet.of(int(ids[p]) for p in best)
+
+
+def _best_completion(
+    rows: np.ndarray, prefix_min: np.ndarray | None, start: int, r: int
+) -> tuple[float, tuple[int, ...]]:
+    """First minimum, in lexicographic order, over every way to complete a
+    prefix of centers with r more positions from range(start, m).
+
+    `prefix_min` is the elementwise minimum of the prefix's rows (None for the
+    empty prefix). Returns the risk and the added positions. A node whose
+    completions fit the chunk budget is enumerated in one batch; a larger one
+    recurses into its children in lexicographic order, keeping the first
+    strict minimum.
+    """
+    m = rows.shape[0]
+    if r == 1 or comb(m - start, r) * m <= _CHUNK_CELLS:
+        return _batch_best(rows, prefix_min, start, r)
     best_risk = np.inf
-    best_combo: tuple[int, ...] | None = None
-    chunk = max(1, _CHUNK_CELLS // m)
-    combos_iter = itertools.combinations(range(m), k)
-    while True:
-        batch = list(itertools.islice(combos_iter, chunk))
-        if not batch:
-            break
-        arr = np.asarray(batch, dtype=np.int64)  # (c, k)
-        mins = dmat[:, arr[:, 0]]
-        for j in range(1, k):
-            mins = np.minimum(mins, dmat[:, arr[:, j]])
-        risks = mins.sum(axis=0)
-        pos = int(np.argmin(risks))  # first minimum keeps lexicographic order
-        if risks[pos] < best_risk:
-            best_risk = float(risks[pos])
-            best_combo = tuple(batch[pos])
-    assert best_combo is not None
-    return CenterSet.of(int(ids[p]) for p in best_combo)
+    best: tuple[int, ...] = ()
+    for p in range(start, m - r + 1):
+        row = rows[p] if prefix_min is None else np.minimum(prefix_min, rows[p])
+        risk, tail = _best_completion(rows, row, p + 1, r - 1)
+        if risk < best_risk:
+            best_risk, best = risk, (p,) + tail
+    return best_risk, best
+
+
+def _batch_best(
+    rows: np.ndarray, prefix_min: np.ndarray | None, start: int, r: int
+) -> tuple[float, tuple[int, ...]]:
+    """`_best_completion` for one batch, built level by level.
+
+    Level j holds one row per distinct choice of the first j+1 added
+    positions, in lexicographic order: the elementwise minimum of the
+    prefix's rows and those positions' rows. Each level is gathered from its
+    parents in the level before, so shared prefixes are reduced once.
+    """
+    m = rows.shape[0]
+    stop = m - r + 1
+    level = rows[start:stop] if prefix_min is None else np.minimum(rows[start:stop], prefix_min)
+    levels = [(np.arange(start, stop), None)]  # (position, parent index) per row
+    for j in range(1, r):
+        last = levels[-1][0]
+        counts = stop + j - 1 - last  # children take last+1 .. m-r+j
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(last.size), counts)
+        child = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
+        level = level[parent]
+        np.minimum(level, rows[child], out=level)
+        levels.append((child, parent))
+    risks = level.sum(axis=1)
+    pos = int(np.argmin(risks))  # first minimum keeps lexicographic order
+    risk = float(risks[pos])
+    tail = []
+    for child, parent in reversed(levels):
+        tail.append(int(child[pos]))
+        if parent is not None:
+            pos = int(parent[pos])
+    return risk, tuple(reversed(tail))
 
 
 def _farthest_point_init(dmat_or_none, ids: np.ndarray, k: int, data: Dataset) -> list[int]:

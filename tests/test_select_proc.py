@@ -218,3 +218,37 @@ class TestStreamingInvariants:
         _, _, s2, _, _, _ = _two_cluster_run(perm_seed=5)
         assert finish(s1).selected == finish(s2).selected
         assert finish(s1).psi == finish(s2).psi
+
+
+class TestNearestRef:
+    @staticmethod
+    def _state(data: Dataset, centers: np.ndarray) -> SelectProcState:
+        state = SelectProcState(make_config(2, 1000, 0.1, 0.1, PAPER))
+        state._center_ids = centers
+        if data.mode == "euclidean":
+            state._center_pts = data.coords[centers]
+        return state
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 64, 65])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_pairwise_bit_for_bit(self, dim, offset):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(200, dim)) * 10 ** rng.uniform(-3, 3) + offset
+        pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
+        data = Dataset.from_coords(pts)
+        centers = np.array(sorted({*range(0, 200, 9), 40, 105, 117}), dtype=np.int64)
+        state = self._state(data, centers)
+        block = data.pairwise(np.arange(200), centers)
+        for x in range(200):
+            pos, d = state._nearest_ref(x, data)
+            assert pos == int(block[x].argmin())
+            assert d == block[x].min()
+
+    def test_matrix_mode(self):
+        coords = Dataset.from_coords(np.random.default_rng(3).normal(size=(40, 3)))
+        data = Dataset.from_matrix(coords.pairwise(range(40), range(40)))
+        centers = np.array([2, 5, 11, 30], dtype=np.int64)
+        state = self._state(data, centers)
+        block = data.pairwise(np.arange(40), centers)
+        for x in range(40):
+            assert state._nearest_ref(x, data) == (int(block[x].argmin()), block[x].min())

@@ -33,6 +33,24 @@ def reversed_enumeration_opt(data: Dataset, ids, k):
     return CenterSet.of(best), best_risk
 
 
+def near_tie_dataset(seed):
+    """Random coordinates at a random scale: risks of distinct subsets often
+    differ only in their last bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 64))
+    dim = int(rng.integers(1, 4))
+    return Dataset.from_coords(rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 6))
+
+
+@pytest.fixture(params=["default", "small"])
+def exhaustive_budget(request, monkeypatch):
+    """Run at the default chunk budget and at one so small that the search
+    descends into prefixes and enumerates many small batches."""
+    if request.param == "small":
+        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 300)
+    return request.param
+
+
 class TestExhaustive:
     def test_k_at_least_size_returns_input(self, line_dataset):
         out = solve_exhaustive([2, 0, 3], 5, line_dataset)
@@ -59,6 +77,53 @@ class TestExhaustive:
         out = solve_exhaustive(range(12), 1, ds)
         sums = [risk(range(12), CenterSet.of([c]), ds) for c in range(12)]
         assert out.ids == (int(np.argmin(sums)),)
+
+    @pytest.mark.parametrize("seed", [34, 54, 71, 75])
+    def test_near_ties_k_two(self, seed, exhaustive_budget):
+        ds = near_tie_dataset(seed)
+        assert solve_exhaustive(range(ds.n), 2, ds) == reversed_enumeration_opt(ds, range(ds.n), 2)[0]
+
+    @pytest.mark.parametrize("seed", [2, 8, 20, 24, 25])
+    def test_near_ties_k_one(self, seed, exhaustive_budget):
+        # column sums in sequential order picked another center on these
+        ds = near_tie_dataset(seed)
+        assert solve_exhaustive(range(ds.n), 1, ds) == reversed_enumeration_opt(ds, range(ds.n), 1)[0]
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_many_centers(self, k, exhaustive_budget):
+        rng = np.random.default_rng(k)
+        ds = Dataset.from_coords(np.round(rng.normal(size=(12, 2)) * 3))  # many exact ties
+        assert solve_exhaustive(range(12), k, ds) == reversed_enumeration_opt(ds, range(12), k)[0]
+
+    def test_matrix_mode(self, exhaustive_budget):
+        coords = near_tie_dataset(71)
+        ds = Dataset.from_matrix(coords.pairwise(range(coords.n), range(coords.n)))
+        assert solve_exhaustive(range(ds.n), 2, ds) == reversed_enumeration_opt(ds, range(ds.n), 2)[0]
+        assert solve_exhaustive(range(14), 3, ds) == reversed_enumeration_opt(ds, range(14), 3)[0]
+
+    def test_subset_ids(self, pool_dataset, exhaustive_budget):
+        subset = [3, 8, 17, 40, 41, 77, 120, 121, 200, 250, 251, 299, 5, 64]
+        for k in (1, 2, 4):
+            assert solve_exhaustive(subset, k, pool_dataset) == reversed_enumeration_opt(pool_dataset, subset, k)[0]
+
+    def test_small_budget_descends_to_batches(self, monkeypatch):
+        calls = []
+        batch_best = solvers_mod._batch_best
+
+        def spy(rows, prefix_min, start, r):
+            calls.append((prefix_min is None, r))
+            return batch_best(rows, prefix_min, start, r)
+
+        monkeypatch.setattr(solvers_mod, "_batch_best", spy)
+        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 300)
+        ds = Dataset.from_coords(np.random.default_rng(5).normal(size=(12, 2)))
+        solve_exhaustive(range(12), 5, ds)
+        assert all(not root for root, _ in calls)  # the root descended
+        assert max(r for _, r in calls) > 1  # multi-level batches ran
+        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 10**6)
+        calls.clear()
+        solve_exhaustive(range(12), 5, ds)
+        assert calls == [(True, 5)]  # one batch at the root
 
     def test_budget_guard(self):
         rng = np.random.default_rng(1)
