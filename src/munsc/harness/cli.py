@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=float, default=0.2)
     r.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     r.add_argument("--solver", choices=SOLVER_NAMES, default="local-search")
-    r.add_argument("--solver-max-iters", type=int, default=100)
+    r.add_argument("--solver-max-iters", type=int, default=100, help="local-search passes per phase-1 solve")
     r.add_argument("--perm-seed", type=int, default=_default_seed())
     r.add_argument("--oracle", choices=("auto", "exact", "local-search", "none"), default="auto")
     r.add_argument("--out", required=True)

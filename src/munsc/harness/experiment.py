@@ -21,7 +21,7 @@ __all__ = ["ExperimentReport", "run_experiment", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-_ORACLE_MAX_ITERS = 100  # sweeps of the full-data local-search reference
+_ORACLE_MAX_ITERS = 100  # passes of the full-data local-search reference
 
 
 @dataclass(frozen=True)

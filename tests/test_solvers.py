@@ -42,6 +42,18 @@ def near_tie_dataset(seed):
     return Dataset.from_coords(rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 6))
 
 
+def assert_single_swap_optimum(data: Dataset, ids, k):
+    """No (remove, insert) pair, scored by `risk()`, beats the converged
+    local search by more than its relative 1e-12 threshold."""
+    ids = list(ids)
+    out = solve_local_search(ids, k, data)
+    cur = risk(ids, out, data)
+    for r in out.ids:
+        for c in set(ids) - set(out.ids):
+            swapped = CenterSet.of(set(out.ids) - {r} | {c})
+            assert risk(ids, swapped, data) >= cur * (1.0 - 1e-12), (r, c)
+
+
 @pytest.fixture(params=["default", "small"])
 def exhaustive_budget(request, monkeypatch):
     """Run at the default chunk budget and at one so small that the search
@@ -164,38 +176,57 @@ class TestLocalSearch:
         ]
         assert all(a >= b - 1e-9 for a, b in zip(risks, risks[1:]))
 
-    def test_chunked_path_matches_matrix_path(self, pool_dataset, monkeypatch):
-        full = solve_local_search(range(120), 3, pool_dataset)
-        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 10)
-        chunked = solve_local_search(range(120), 3, pool_dataset)  # one column block a sweep
-        assert full.ids == chunked.ids
-        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 120 * 20)  # six 20-column blocks a sweep
-        widths = []
-        pairwise = Dataset.pairwise
+    @pytest.mark.parametrize("tile_rows", [1, 7, None], ids=["rows1", "rows7", "rows-default"])
+    @pytest.mark.parametrize("matrix_limit", [None, 0], ids=["matrix", "recomputed"])
+    def test_tiles_and_matrix_do_not_move_selections(self, pool_dataset, monkeypatch, tile_rows, matrix_limit):
+        cases = [(pool_dataset, range(120), 3), (pool_dataset, range(0, 300, 2), 5)]
+        cases += [(ds, range(ds.n), k) for ds in map(near_tie_dataset, (34, 54, 71, 75)) for k in (2, 3)]
+        expected = [solve_local_search(ids, k, ds) for ds, ids, k in cases]
+        if tile_rows is not None:
+            monkeypatch.setattr(solvers_mod, "_TILE_ROWS", tile_rows)
+        if matrix_limit is not None:
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
+        assert [solve_local_search(ids, k, ds) for ds, ids, k in cases] == expected
 
-        def spy(self, rows, cols):
-            widths.append(np.size(cols))
-            return pairwise(self, rows, cols)
+    @pytest.mark.parametrize("centers", [[5], [0, 150, 0], list(range(0, 300, 19))], ids=["one", "empty-slot", "sixteen"])
+    def test_swap_scores_are_bitwise_row_independent(self, pool_dataset, centers):
+        # a one-hot GEMM fails this: its low bits depend on the block's row count
+        ids = np.arange(300)
+        rows = pool_dataset.pairwise(ids, ids)
+        kk = len(centers)
+        state = solvers_mod._assign(rows[centers])
+        whole = solvers_mod._swap_risks(rows[:64], kk, *state)
+        assert whole.shape == (64, kk)
+        for slot in set(range(kk)) - set(state[3].tolist()):  # a slot serving no point: insert only
+            assert np.array_equal(whole[:, slot], np.minimum(rows[:64], state[0]).sum(axis=1))
+        for width in (1, 5, 7, 33):
+            parts = [solvers_mod._swap_risks(rows[lo : min(64, lo + width)], kk, *state) for lo in range(0, 64, width)]
+            assert np.array_equal(np.vstack(parts), whole)
 
-        monkeypatch.setattr(Dataset, "pairwise", spy)
-        chunked = solve_local_search(range(120), 3, pool_dataset)
-        assert full.ids == chunked.ids
-        assert widths.count(20) >= 12  # at least two sweeps of six blocks
-
-    def test_sweep_masks_centers_per_block(self, monkeypatch):
-        # centers 0, 1, 2 in a corner; the best insert is id 40, the middle of a
-        # ring, which sits at a center's offset within its 20-column block
+    def test_centers_at_tile_offsets_are_never_inserted(self, monkeypatch):
+        # the seeding picks ids 0 and 3; the best insert is id 40, the middle
+        # of a ring, which sits at center 0's offset within its 20-row tile
         angles = np.linspace(0.0, 2.0 * np.pi, 117, endpoint=False)
         pts = np.column_stack([100.0 + 3.0 * np.cos(angles), 3.0 * np.sin(angles)])
         pts = np.insert(pts, 37, [100.0, 0.0], axis=0)
         ds = Dataset.from_coords(np.vstack([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], pts]))
-        ids, centers = np.arange(120), [0, 1, 2]
-        d1, d2, lab = solvers_mod._assignments(None, ids, centers, ds)
-        one = solvers_mod._sweep_best_swap(ds.pairwise(ids, ids), ids, centers, d1, d2, lab, ds)
-        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 120 * 20)
-        six = solvers_mod._sweep_best_swap(None, ids, centers, d1, d2, lab, ds)
-        assert one[2] == six[2] == 40 and one[1] == six[1]
-        assert six[0] == pytest.approx(one[0], rel=1e-12)
+        distinct = []
+        assign = solvers_mod._assign
+        monkeypatch.setattr(solvers_mod, "_assign", lambda rows: distinct.append(len(np.unique(rows, axis=0))) or assign(rows))
+        for matrix_limit in (4096, 0):
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
+            for tile_rows in (20, 1):
+                monkeypatch.setattr(solvers_mod, "_TILE_ROWS", tile_rows)
+                assert solve_local_search(range(120), 2, ds).ids == (0, 40)
+        assert len(distinct) > 4 and set(distinct) == {2}  # no swap ever duplicated a center
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_converged_search_is_a_single_swap_optimum(self, pool_dataset, k):
+        assert_single_swap_optimum(pool_dataset, range(40), k)
+        assert_single_swap_optimum(pool_dataset, range(0, 300, 9), k)
+        for seed in (34, 54, 71, 75, 2, 8):
+            ds = near_tie_dataset(seed)
+            assert_single_swap_optimum(ds, range(min(ds.n, 40)), k)
 
     def test_returns_subset_of_input(self, pool_dataset):
         subset = list(range(0, 300, 7))
@@ -244,6 +275,12 @@ class TestDuplicateHeavy:
         assert risk(range(12), ls, ds) == 0.0 and risk(range(12), ex, ds) == 0.0
         for name in ("local-search", "exhaustive"):
             assert len(get_solver(name).solve(range(12), 5, ds)) <= 5
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_local_search_is_a_single_swap_optimum(self, dim, k):
+        assert_single_swap_optimum(self.all_identical(dim), range(12), k)
+        assert_single_swap_optimum(self.three_distinct(dim), range(12), k)
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_nearest_dists_takes_smallest_position(self, dim):
