@@ -16,7 +16,7 @@ from .errors import (
     PremiseError,
     StreamProtocolError,
 )
-from .metric import CenterSet, Dataset, PointId, far_r, nearest_center, risk, truncated_risk
+from .metric import CenterSet, Dataset, far_r, nearest_center, risk, truncated_risk
 from .multiscale import MunscResult, Schedule, compute_schedule, run_stream
 from .oracle import OptimalSolution, exact_opt, psi_sandwich_frequency, sandwich_report
 from .params import (
@@ -32,7 +32,7 @@ from .params import (
     theorem_constants,
 )
 from .select_proc import (
-    Decision,
+    REASONS,
     SelectProcConfig,
     SelectProcReport,
     SelectProcState,
@@ -51,16 +51,15 @@ __all__ = [
     "CenterSet",
     "ContractError",
     "Dataset",
-    "Decision",
     "InfeasibleBinDivisionError",
     "InstrumentedStream",
     "MunscError",
     "MunscResult",
     "OptimalSolution",
-    "PointId",
     "PremiseError",
     "Profile",
     "PROFILES",
+    "REASONS",
     "Schedule",
     "SelectProcConfig",
     "SelectProcReport",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ContractError
 from ..multiscale import compute_schedule, run_stream
 from ..params import PROFILES, ratio_ceiling
 from ..solvers import local_search_solver
@@ -25,7 +26,7 @@ from .validate import (
     check_well_represented_concentration,
 )
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "write_rows", "SUITES"]
 
 
 def _ratio_trial(args: tuple) -> dict:
@@ -95,13 +96,14 @@ def run_suite(
     suite: str,
     trials: int,
     jobs: int,
-    out: str | Path,
     n: int = 240,
     k: int = 2,
     delta: float = 0.2,
     seed: int = 0,
 ) -> list[dict]:
-    """Run a named suite and write its rows as CSV. Returns the rows."""
+    """Run a named suite and return its rows, at least one per trial."""
+    if trials < 1:
+        raise ContractError(f"trials must be positive, got {trials}")
     if suite == "ratio":
         work = [(t, n, k, delta, seed) for t in range(trials)]
         rows = list(_map(jobs, _ratio_trial, work))
@@ -114,14 +116,15 @@ def run_suite(
         rows = [r for batch in _map(jobs, _lemmas_trial, work) for r in batch]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-
-    out = Path(out)
-    if rows:
-        with out.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
     return rows
+
+
+def write_rows(rows: list[dict], out: str | Path) -> None:
+    """Write nonempty suite rows as CSV, with the first row's keys as header."""
+    with Path(out).open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _map(jobs: int, fn, work):

@@ -10,7 +10,7 @@ from pathlib import Path
 from ..errors import ContractError, MunscError
 from ..params import PROFILES
 from ..solvers import SOLVER_NAMES, get_solver
-from .bench import SUITES, run_suite
+from .bench import SUITES, run_suite, write_rows
 from .data import generate_gaussian_mixture, load_dataset, save_dataset
 from .experiment import run_experiment
 from .validate import run_validate_suite
@@ -62,6 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _on_file(what: str, path: str, fn):
+    """`fn(Path(path))`; a file that cannot be used fails as `cannot {what} {path}: ...`."""
+    try:
+        return fn(Path(path))
+    except (OSError, ValueError) as exc:  # ValueError covers ContractError on bad contents
+        raise ContractError(f"cannot {what} {path}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(_build_parser().parse_args(argv))
@@ -71,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if hasattr(args, "out") and not Path(args.out).parent.is_dir():  # fail before the work, not after it
+        raise ContractError(f"cannot write --out {args.out}: no directory {Path(args.out).parent}")
+
     if args.command == "gen":
         sample = generate_gaussian_mixture(
             n=args.n,
@@ -80,15 +91,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             outlier_fraction=args.outliers,
             seed=args.seed,
         )
-        save_dataset(sample.dataset, args.out)
+        _on_file("write --out", args.out, lambda path: save_dataset(sample.dataset, path))
         print(f"wrote {args.n} points to {args.out}")
         return 0
 
     if args.command == "run":
-        try:
-            data = load_dataset(args.data)
-        except (OSError, ValueError) as exc:  # ValueError covers ContractError on bad contents
-            raise ContractError(f"cannot read --data {args.data}: {exc}") from exc
+        data = _on_file("read --data", args.data, load_dataset)
         solver = get_solver(args.solver, max_iters=args.solver_max_iters)
         report = run_experiment(
             data,
@@ -99,7 +107,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             permutation_seed=args.perm_seed,
             oracle=args.oracle,
         )
-        Path(args.out).write_text(report.to_json() + "\n")
+        _on_file("write --out", args.out, lambda path: path.write_text(report.to_json() + "\n"))
         ratio = "n/a" if report.ratio is None else f"{report.ratio:.4f}"
         print(
             f"|T_out|={report.t_out_size} risk={report.achieved_risk:.6g} "
@@ -114,12 +122,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.suite,
             trials=args.trials,
             jobs=args.jobs,
-            out=args.out,
             n=args.n,
             k=args.k,
             delta=args.delta,
             seed=args.seed,
         )
+        _on_file("write --out", args.out, lambda path: write_rows(rows, path))
         print(f"wrote {len(rows)} rows to {args.out}")
         return 0
 

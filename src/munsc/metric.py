@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ContractError
 
 __all__ = [
-    "PointId",
     "CenterSet",
     "Dataset",
     "nearest_center",
@@ -26,8 +25,6 @@ __all__ = [
     "truncated_risk",
     "farthest_order",
 ]
-
-PointId = int
 
 # Upper bound on temporary cells allocated by one chunk of a cross-distance
 # computation (8 bytes per cell).

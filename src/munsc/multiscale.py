@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import ContractError
 from .metric import CenterSet, Dataset
 from .params import PROFILES, Profile, alpha_schedule, phi_alpha
-from .select_proc import Decision, SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
+from .select_proc import SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
 from .solvers import Solver
 from .stream import InstrumentedStream
 
@@ -108,7 +108,6 @@ class StreamRecord(NamedTuple):
 
     point: int
     selected: bool
-    copy_decisions: tuple[Decision, ...]
 
 
 @dataclass(frozen=True)
@@ -137,20 +136,15 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
         raise ContractError(f"dataset size {data.n} does not match schedule length {n}")
 
     states = [SelectProcState(cfg) for cfg in schedule.copies]
-    seen: set[int] = set()
     selection_order: list[int] = []
     for t in range(n):
         x = st.read()
-        decisions = []
         selected = False
         for state in states:
-            d = observe(state, x, data, solver)
-            decisions.append(d)
-            selected = selected or d.kind == "selected"
-        if selected and x not in seen:
-            seen.add(x)
+            selected |= observe(state, x, data, solver)
+        if selected:  # a permutation reads each point once
             selection_order.append(x)
-        st.log_decision(t, StreamRecord(x, selected, tuple(decisions)))
+        st.log_decision(t, StreamRecord(x, selected))
 
     reports = tuple(finish(s) for s in states)
     warnings = list(schedule.warnings)

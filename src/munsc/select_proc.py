@@ -7,14 +7,17 @@ one distance per point and condenses them into the outlier-truncated risk
 estimate psi. Phase 3 selects: a point is taken when it is far from its
 nearest reference center, when that center is still under its observation
 quota, or when nothing close to that center has been selected yet. Selected
-points are never revoked.
+points are never revoked. Each point's record is written as it is read, into
+three append-only columns: `dists`, the nearest-reference distance of every
+index in [p1_end, p3_end), and `slots` and `reasons`, the nearest-reference
+position and a code into `REASONS` of every index in [p2_end, p3_end).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from math import ceil
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +38,16 @@ __all__ = [
     "SelectProcConfig",
     "SelectProcState",
     "SelectProcReport",
-    "Decision",
+    "REASONS",
     "make_config",
     "observe",
     "finish",
 ]
 
 _RANGE_TOL = 1e-9
+
+REASONS = ("not_selected", "far", "quota", "near_flag")  # phase-3 codes; 0 passes a point over
+_FAR, _QUOTA, _NEAR_FLAG = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -135,28 +141,22 @@ def make_config(
     )
 
 
-class Decision(NamedTuple):
-    """Outcome for a single stream index."""
-
-    point: int
-    kind: str  # "selected" | "not_selected" | "ignored"
-    reason: str | None  # "far" | "quota" | "near_flag" when selected
-    phase: int  # 1, 2, 3; 0 for the ignored suffix
-    dist_to_ref: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectProcReport:
-    """Immutable summary of one finished copy."""
+    """Immutable summary of one finished copy; the counts derive from its
+    read-only decision columns `dists`, `slots` and `reasons`."""
 
     selected: tuple[int, ...]  # in selection order
     psi: float
     t_alpha: CenterSet
-    reason_counts: dict[str, int]
+    reason_counts: dict[str, int]  # selections per rule, keyed by REASONS[1:]
     observed_per_center: tuple[int, ...]
     selected_per_center: tuple[int, ...]
     warnings: tuple[str, ...]
     config: SelectProcConfig
+    dists: np.ndarray
+    slots: np.ndarray
+    reasons: np.ndarray
 
 
 class SelectProcState:
@@ -166,15 +166,15 @@ class SelectProcState:
         self.config = config
         self.count = 0
         self.buffer_p1: list[int] | None = []
-        self.dists_p2: list[float] = []
+        self.dists = array("d")
+        self.slots = array("q")
+        self.reasons = array("b")
         self.t_alpha: CenterSet | None = None
         self.psi: float | None = None
         self.threshold: float = 0.0
         self.near: list[bool] = []
         self.observed_counts: list[int] = []
-        self.selected_counts: list[int] = []
         self.selected: list[int] = []
-        self.reason_counts = {"far": 0, "quota": 0, "near_flag": 0}
         self.warnings: list[str] = []
         self._center_ids: np.ndarray | None = None
         self._center_pts: np.ndarray | None = None
@@ -189,15 +189,13 @@ class SelectProcState:
         self._center_ids = self.t_alpha.to_array()
         if data.mode == "euclidean":
             self._center_pts = data.coords[self._center_ids]
-        m = len(self.t_alpha)
-        self.near = [False] * m
-        self.observed_counts = [0] * m
-        self.selected_counts = [0] * m
+        self.near = [False] * len(self.t_alpha)
+        self.observed_counts = [0] * len(self.t_alpha)
 
     def _finish_phase2(self) -> None:
         c = self.config
         drop = c.psi_drop
-        dists = np.sort(np.asarray(self.dists_p2, dtype=np.float64))
+        dists = np.sort(self.dists)
         if drop >= dists.size:
             self.psi = 0.0
             self.warnings.append(
@@ -205,8 +203,7 @@ class SelectProcState:
                 "every positive-distance point in phase 3 will be selected as far"
             )
         else:
-            kept = dists[: dists.size - drop] if drop > 0 else dists
-            self.psi = float(np.sum(kept)) / (c.profile.c_psi_denom * c.alpha)
+            self.psi = float(np.sum(dists[: dists.size - drop])) / (c.profile.c_psi_denom * c.alpha)
         self.threshold = selection_threshold(self.psi, c.k, c.tau)
 
     def _nearest_ref(self, x: int, data: Dataset) -> tuple[int, float]:
@@ -222,8 +219,9 @@ class SelectProcState:
         return pos, float(d[pos])
 
 
-def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> Decision:
-    """Consume the next stream point and decide about it immediately.
+def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bool:
+    """Consume the next stream point, decide about it immediately, and return
+    whether it was selected.
 
     The solver is invoked exactly once, when the last phase-1 point arrives.
     Raises ContractError when called after the stream is exhausted.
@@ -238,51 +236,55 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> De
         state.buffer_p1.append(int(x))
         if idx == c.p1_end - 1:
             state._finish_phase1(data, solver)
-        return Decision(x, "not_selected", None, 1, None)
+        return False
+    if idx >= c.p3_end:
+        return False
 
+    pos, d = state._nearest_ref(x, data)
+    state.dists.append(d)
     if idx < c.p2_end:
-        _, d = state._nearest_ref(x, data)
-        state.dists_p2.append(d)
         if idx == c.p2_end - 1:
             state._finish_phase2()
-        return Decision(x, "not_selected", None, 2, d)
+        return False
 
-    if idx < c.p3_end:
-        pos, d = state._nearest_ref(x, data)
-        prev = state.observed_counts[pos]
-        state.observed_counts[pos] = prev + 1
-        if d > state.threshold:
-            reason = "far"
-        elif prev < c.quota:
-            reason = "quota"
-        elif not state.near[pos]:
-            reason = "near_flag"
-        else:
-            return Decision(x, "not_selected", None, 3, d)
+    prev = state.observed_counts[pos]
+    state.observed_counts[pos] = prev + 1
+    if d > state.threshold:
+        reason = _FAR
+    elif prev < c.quota:
+        reason = _QUOTA
+    elif not state.near[pos]:
+        reason = _NEAR_FLAG
+    else:
+        reason = 0
+    state.slots.append(pos)
+    state.reasons.append(reason)
+    if reason:
         state.selected.append(int(x))
-        state.selected_counts[pos] += 1
-        state.reason_counts[reason] += 1
-        if d <= state.threshold:
-            state.near[pos] = True
-        return Decision(x, "selected", reason, 3, d)
-
-    return Decision(x, "ignored", None, 0, None)
+        state.near[pos] |= d <= state.threshold
+    return reason != 0
 
 
 def finish(state: SelectProcState) -> SelectProcReport:
     """Freeze the copy's outcome once the whole stream has been observed."""
     if state.count != state.config.n:
-        raise ContractError(
-            f"finish called after {state.count} of {state.config.n} points"
-        )
+        raise ContractError(f"finish called after {state.count} of {state.config.n} points")
     assert state.t_alpha is not None and state.psi is not None
+    dists, slots, reasons = (np.array(col) for col in (state.dists, state.slots, state.reasons))
+    for col in (dists, slots, reasons):
+        col.flags.writeable = False
+    per_reason = np.bincount(reasons, minlength=len(REASONS)).tolist()
+    per_center = np.bincount(slots[reasons != 0], minlength=len(state.t_alpha)).tolist()
     return SelectProcReport(
         selected=tuple(state.selected),
         psi=state.psi,
         t_alpha=state.t_alpha,
-        reason_counts=dict(state.reason_counts),
+        reason_counts=dict(zip(REASONS[1:], per_reason[1:])),
         observed_per_center=tuple(state.observed_counts),
-        selected_per_center=tuple(state.selected_counts),
+        selected_per_center=tuple(per_center),
         warnings=tuple(state.warnings),
         config=state.config,
+        dists=dists,
+        slots=slots,
+        reasons=reasons,
     )

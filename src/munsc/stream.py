@@ -37,10 +37,6 @@ class InstrumentedStream:
         return int(self._order.size)
 
     @property
-    def order(self) -> np.ndarray:
-        return self._order
-
-    @property
     def reads(self) -> int:
         return self._cursor
 

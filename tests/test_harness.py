@@ -228,6 +228,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"munsc: error: cannot read --data {missing}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--n", "10"],
+        ["run", "--data", "DATA", "--k", "2"],
+        ["bench", "--suite", "lemmas", "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("out", ["missing-dir/x", "."])
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys, command, out):
+        data_path = tmp_path / "d.csv"
+        save_dataset(generate_gaussian_mixture(240, 2, 2, 50.0, 0.02, seed=3).dataset, data_path)
+        target = tmp_path / out  # a missing directory, or a directory in place of a file
+        argv = [str(data_path) if a == "DATA" else a for a in command]
+        assert cli_main(argv + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"munsc: error: cannot write --out {target}") and err.count("\n") == 1
+
+    def test_bench_zero_trials_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli_main(["bench", "--suite", "ratio", "--trials", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "munsc: error: trials must be positive, got 0\n"
+        assert captured.out == "" and not out.exists()
+
     def test_bench_lemmas_suite(self, tmp_path):
         out = tmp_path / "rows.csv"
         assert cli_main([

@@ -7,6 +7,7 @@ from munsc import (
     ContractError,
     InstrumentedStream,
     PROFILES,
+    REASONS,
     compute_schedule,
     exact_opt,
     local_search_solver,
@@ -113,12 +114,39 @@ class TestRunStream:
         sample = _tiny_mixture()
         s = compute_schedule(2, 0.2, 240, DESK)
         stream = InstrumentedStream(np.random.default_rng(1).permutation(240))
-        run_stream(stream, s, sample.dataset, local_search_solver(max_iters=30))
+        res = run_stream(stream, s, sample.dataset, local_search_solver(max_iters=30))
         assert len(stream.decision_log) == 240
-        for idx, record in stream.decision_log:
-            for c, d in zip(s.copies, record.copy_decisions):
-                if d.kind == "selected":
-                    assert c.p2_end <= idx < c.p3_end
+        index_of = {record.point: idx for idx, record in stream.decision_log}
+        for c, rep in zip(s.copies, res.copy_reports, strict=True):
+            for x in rep.selected:
+                assert c.p2_end <= index_of[x] < c.p3_end
+
+    def test_decision_columns_are_the_record(self):
+        sample = _tiny_mixture()
+        s = compute_schedule(2, 0.2, 240, DESK)
+        assert len(s.copies) == 3
+        perm = np.random.default_rng(2).permutation(240)
+        stream = InstrumentedStream(perm)
+        res = run_stream(stream, s, sample.dataset, local_search_solver(max_iters=30))
+        any_taken = np.zeros(240, dtype=bool)
+        for c, rep in zip(s.copies, res.copy_reports, strict=True):
+            assert len(rep.dists) == c.p3_end - c.p1_end
+            assert len(rep.slots) == len(rep.reasons) == c.p3_end - c.p2_end
+            taken = rep.reasons != 0
+            window = perm[c.p2_end : c.p3_end]
+            assert list(rep.selected) == window[taken].tolist()
+            any_taken[c.p2_end : c.p3_end] |= taken
+            per_reason = np.bincount(rep.reasons, minlength=len(REASONS))
+            assert rep.reason_counts == dict(zip(REASONS[1:], per_reason[1:].tolist()))
+            assert list(rep.reason_counts) == ["far", "quota", "near_flag"]
+            m = len(rep.t_alpha)
+            assert list(rep.observed_per_center) == np.bincount(rep.slots, minlength=m).tolist()
+            assert list(rep.selected_per_center) == np.bincount(rep.slots[taken], minlength=m).tolist()
+            for column in (rep.dists, rep.slots, rep.reasons):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0
+        assert [record.selected for _, record in stream.decision_log] == any_taken.tolist()
 
     def test_no_selection_before_first_selection_phase(self):
         sample = _tiny_mixture()

@@ -10,6 +10,7 @@ from munsc import (
     ContractError,
     Dataset,
     PROFILES,
+    REASONS,
     SelectProcConfig,
     SelectProcState,
     finish,
@@ -83,21 +84,22 @@ def _truth_table_state():
     cfg = make_config(2, 11, 0.5, 1.0 / 6.0, DESK, quota=1, tau=1.0)
     state = SelectProcState(cfg)
     solver = exhaustive_solver()
-    decisions = []
+    selected = []
     for x in range(4):
-        decisions.append(observe(state, x, data, solver))
+        selected.append(observe(state, x, data, solver))
     state.psi = 6.0
     state.threshold = 3.0
     for x in range(4, 11):
-        decisions.append(observe(state, x, data, solver))
-    return state, decisions, data
+        selected.append(observe(state, x, data, solver))
+    return state, selected, data
 
 
 class TestPhases:
     def test_phase_one_buffers_and_never_selects(self):
-        state, decisions, _ = _truth_table_state()
-        assert [d.kind for d in decisions[:2]] == ["not_selected"] * 2
-        assert [d.phase for d in decisions[:2]] == [1, 1]
+        state, selected, _ = _truth_table_state()
+        assert selected[:2] == [False] * 2
+        assert state.config.p1_end == 2
+        assert len(state.dists) == 9  # phase 1 writes no record
 
     def test_reference_clustering_computed_at_phase_boundary(self):
         state, _, _ = _truth_table_state()
@@ -108,13 +110,17 @@ class TestPhases:
         assert state.buffer_p1 is None  # memory contract
 
     def test_phase_two_records_one_real_per_point(self):
-        state, decisions, _ = _truth_table_state()
-        assert state.dists_p2 == [50.0, 40.0]
-        assert decisions[2].dist_to_ref == 50.0
+        state, selected, _ = _truth_table_state()
+        assert state.config.p2_end == 4
+        assert state.dists[:2].tolist() == [50.0, 40.0]
+        assert selected[2:4] == [False, False]
 
     def test_selection_truth_table(self):
-        _, decisions, _ = _truth_table_state()
-        kinds = [(d.kind, d.reason) for d in decisions[4:]]
+        state, selected, _ = _truth_table_state()
+        kinds = [
+            ("selected" if taken else "not_selected", REASONS[code] if code else None)
+            for taken, code in zip(selected[4:], state.reasons, strict=True)
+        ]
         assert kinds == [
             ("selected", "quota"),  # id4: dist 1 <= 3, first at center 0
             ("not_selected", None),  # id5: quota spent, near flag set
@@ -129,7 +135,8 @@ class TestPhases:
         state, _, _ = _truth_table_state()
         assert state.near == [True, True]
         assert state.observed_counts == [4, 3]
-        assert state.selected_counts == [2, 2]
+        taken = np.asarray(state.reasons) != 0
+        assert np.bincount(np.asarray(state.slots)[taken], minlength=2).tolist() == [2, 2]
 
     def test_reason_counts_and_report(self):
         state, _, _ = _truth_table_state()
@@ -157,10 +164,12 @@ class TestPhases:
         data = Dataset.from_coords(coords)
         cfg = make_config(2, 12, 0.5, 1.0 / 6.0, DESK, gamma=0.25)
         state = SelectProcState(cfg)
-        kinds = [observe(state, x, data, exhaustive_solver()).kind for x in range(12)]
+        selected = [observe(state, x, data, exhaustive_solver()) for x in range(12)]
         assert cfg.p3_end < 12
-        assert all(k == "ignored" for k in kinds[cfg.p3_end :])
-        finish(state)  # whole stream consumed despite the ignored tail
+        assert not any(selected[cfg.p3_end :])
+        rep = finish(state)  # whole stream consumed despite the ignored tail
+        assert len(rep.dists) == cfg.p3_end - cfg.p1_end
+        assert len(rep.reasons) == len(rep.slots) == cfg.p3_end - cfg.p2_end
 
 
 def _two_cluster_run(n=1500, k=2, delta=0.2, perm_seed=3):
@@ -172,32 +181,31 @@ def _two_cluster_run(n=1500, k=2, delta=0.2, perm_seed=3):
     state = SelectProcState(cfg)
     solver = local_search_solver(max_iters=40)
     perm = np.random.default_rng(perm_seed).permutation(n)
-    decisions = [observe(state, int(x), data, solver) for x in perm]
-    return data, cfg, state, decisions, perm, half
+    selected = [observe(state, int(x), data, solver) for x in perm]
+    return data, cfg, state, selected, perm, half
 
 
 class TestStreamingInvariants:
     def test_psi_positive_and_matches_recomputation(self):
-        data, cfg, state, decisions, _, _ = _two_cluster_run()
+        data, cfg, state, _, _, _ = _two_cluster_run()
         rep = finish(state)
         assert rep.psi > 0.0
-        p2_dists = [d.dist_to_ref for d in decisions if d.phase == 2]
+        p2_dists = rep.dists[: cfg.p2_end - cfg.p1_end]
         drop = psi_truncation_count(cfg.k, cfg.alpha, phi_alpha(cfg.k, cfg.delta, cfg.alpha, DESK))
         kept = np.sort(np.asarray(p2_dists))[: len(p2_dists) - drop]
         assert rep.psi == pytest.approx(float(np.sum(kept)) / (3.0 * cfg.alpha), rel=1e-12)
 
     def test_every_phase3_point_near_some_selection(self):
-        data, cfg, state, decisions, perm, _ = _two_cluster_run()
+        data, cfg, state, selected, perm, _ = _two_cluster_run()
         thr = state.threshold
         assert state.psi > 0.0
         selected_so_far: list[int] = []
-        for d in decisions:
-            if d.phase != 3:
+        for idx in range(cfg.p2_end, cfg.p3_end):
+            point = int(perm[idx])
+            if selected[idx]:
+                selected_so_far.append(point)
                 continue
-            if d.kind == "selected":
-                selected_so_far.append(d.point)
-                continue
-            dmin = min(data.dist(d.point, s) for s in selected_so_far)
+            dmin = min(data.dist(point, s) for s in selected_so_far)
             assert dmin <= 2.0 * thr * (1.0 + 1e-9)
 
     def test_quota_guarantee_per_center(self):
