@@ -140,6 +140,19 @@ class TestPairwise:
         for i, x in enumerate(ids):
             assert ds.point_to_ids(int(x), ids).tobytes() == block[i].tobytes()
 
+    # the exact oracle reads row c of pairwise(ids, ids) as column c
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 64, 129])
+    def test_square_block_is_exactly_symmetric(self, dim, monkeypatch):
+        monkeypatch.setattr(metric_mod, "_KERNEL_CELLS", 300)  # several chunks per call
+        rng = np.random.default_rng(dim)
+        ids = rng.permutation(40)
+        for offset in (0.0, 1e6):
+            ds = Dataset.from_coords(rng.normal(size=(40, dim)) + offset)
+            for data in (ds, Dataset.from_matrix(ds.pairwise(range(40), range(40)))):
+                block = data.pairwise(ids, ids)
+                assert np.array_equal(block, block.T)
+                assert block.tobytes() == block.T.tobytes()
+
     def test_empty_blocks(self, line_dataset):
         empty = np.empty(0, dtype=np.int64)
         assert line_dataset.pairwise(empty, [0, 1]).shape == (0, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -56,11 +57,22 @@ def assert_single_swap_optimum(data: Dataset, ids, k):
 
 @pytest.fixture(params=["default", "small"])
 def exhaustive_budget(request, monkeypatch):
-    """Run at the default chunk budget and at one so small that the search
-    descends into prefixes and enumerates many small batches."""
+    """Run at the default chunk budgets and at ones so small that the search
+    descends into prefixes and enumerates many small batches, and the k = 2
+    search scores its pairs three at a time."""
     if request.param == "small":
         monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 300)
+        monkeypatch.setattr(solvers_mod, "_PAIR_ROWS", 3)
     return request.param
+
+
+def two_blobs(m, seed):
+    """Two far-apart Gaussian blobs with a few outliers between them."""
+    rng = np.random.default_rng(seed)
+    k = m - m // 20
+    return np.vstack(
+        [rng.normal(size=(k // 2, 2)), rng.normal(size=(k - k // 2, 2)) + [30.0, 0.0], rng.uniform(-10, 40, size=(m - k, 2))]
+    )
 
 
 class TestExhaustive:
@@ -112,11 +124,43 @@ class TestExhaustive:
         ds = Dataset.from_matrix(coords.pairwise(range(coords.n), range(coords.n)))
         assert solve_exhaustive(range(ds.n), 2, ds) == reversed_enumeration_opt(ds, range(ds.n), 2)[0]
         assert solve_exhaustive(range(14), 3, ds) == reversed_enumeration_opt(ds, range(14), 3)[0]
+        coords = Dataset.from_coords(np.round(two_blobs(40, 3)))  # many exact ties
+        ds = Dataset.from_matrix(coords.pairwise(range(40), range(40)))
+        assert solve_exhaustive(range(40), 2, ds) == reversed_enumeration_opt(ds, range(40), 2)[0]
 
     def test_subset_ids(self, pool_dataset, exhaustive_budget):
         subset = [3, 8, 17, 40, 41, 77, 120, 121, 200, 250, 251, 299, 5, 64]
         for k in (1, 2, 4):
             assert solve_exhaustive(subset, k, pool_dataset) == reversed_enumeration_opt(pool_dataset, subset, k)[0]
+        subset = list(range(0, 300, 7)) + [1, 2, 150, 151, 299]  # a tree of several levels
+        assert solve_exhaustive(subset, 2, pool_dataset) == reversed_enumeration_opt(pool_dataset, subset, 2)[0]
+
+    def test_k_two_identical_points(self, exhaustive_budget):
+        # every pair ties at 0, so no node pair can be dropped
+        ds = Dataset.from_coords(np.full((20, 3), 7.5))
+        assert solve_exhaustive(range(20), 2, ds).ids == (0, 1)
+        assert solve_exhaustive(range(20), 2, ds) == reversed_enumeration_opt(ds, range(20), 2)[0]
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 9, 17, 33])
+    def test_k_two_sizes(self, m, exhaustive_budget):
+        rng = np.random.default_rng(m)
+        for pts in (rng.normal(size=(m, 2)) * 10 ** rng.uniform(-3, 6), np.round(rng.normal(size=(m, 2)))):
+            ds = Dataset.from_coords(pts)
+            assert solve_exhaustive(range(m), 2, ds) == reversed_enumeration_opt(ds, range(m), 2)[0]
+
+    def test_k_two_prunes_blobs(self, monkeypatch, exhaustive_budget):
+        scored = []
+        min_sums = solvers_mod._min_sums
+
+        def spy(table, a, b, work):
+            scored.append(a.size)
+            return min_sums(table, a, b, work)
+
+        monkeypatch.setattr(solvers_mod, "_min_sums", spy)
+        ds = Dataset.from_coords(two_blobs(100, 8))
+        assert solve_exhaustive(range(100), 2, ds) == reversed_enumeration_opt(ds, range(100), 2)[0]
+        # the greedy start, every node bound and the exact stage together
+        assert sum(scored) < comb(100, 2)
 
     def test_small_budget_descends_to_batches(self, monkeypatch):
         calls = []
