@@ -16,7 +16,7 @@ from .errors import (
     PremiseError,
     StreamProtocolError,
 )
-from .metric import CenterSet, Dataset, far_r, nearest_center, risk, truncated_risk
+from .metric import CenterSet, Dataset, far_r, risk, truncated_risk
 from .multiscale import MunscResult, Schedule, compute_schedule, run_stream
 from .oracle import OptimalSolution, exact_opt, psi_sandwich_frequency, sandwich_report
 from .params import (
@@ -79,7 +79,6 @@ __all__ = [
     "k_plus_size",
     "local_search_solver",
     "make_config",
-    "nearest_center",
     "observe",
     "phi_alpha",
     "psi_sandwich_frequency",

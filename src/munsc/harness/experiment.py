@@ -21,9 +21,6 @@ __all__ = ["ExperimentReport", "run_experiment", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-_ORACLE_MAX_ITERS = 100  # passes of the full-data local-search reference
-
-
 @dataclass(frozen=True)
 class CopySummary:
     copy: int
@@ -63,8 +60,8 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentReport":
@@ -128,7 +125,7 @@ def run_experiment(
         oracle_label: str | None = "exact"
         oracle_risk: float | None = opt.risk
     elif oracle == "local-search":
-        ref = solve_local_search(all_ids, k, data, max_iters=_ORACLE_MAX_ITERS)
+        ref = solve_local_search(all_ids, k, data)
         oracle_label = "local-search (beta=5 reference)"
         oracle_risk = risk(all_ids, ref, data)
     elif oracle == "none":

@@ -19,23 +19,43 @@ from .errors import ContractError
 __all__ = [
     "CenterSet",
     "Dataset",
-    "nearest_center",
     "risk",
     "far_r",
     "truncated_risk",
     "farthest_order",
 ]
 
-# Upper bound on temporary cells allocated by one chunk of a cross-distance
-# computation (8 bytes per cell).
+# Cells (8 bytes each) in one working block of a kernel loop: the row chunks of
+# `_pairwise_coords` and `_exact_dists`, the local-search candidate tiles and
+# the k = 2 pair chunks of the exact solver. The coordinate kernel holds at most
+# 8 accumulators, one term and one partial sum per halving above 128 dims;
+# blocks this small were 1.5-1.8x faster than 4M-cell ones (dims 2, 8 and 64,
+# 2-vCPU AMD EPYC host).
+_BLOCK_CELLS = 65_536
+# Cells in a block that is built once and reduced whole: the k = 1 row sums and
+# the batches of the exhaustive solver, and the cap on a screen tile. Batches
+# of _BLOCK_CELLS cells slowed k >= 3 solves 1.4-1.7x (m=22, k=11: 0.18 ->
+# 0.26 s; m=40, k=35: 1.06 -> 1.83 s; 2-vCPU Intel Xeon host).
 _CHUNK_CELLS = 4_000_000
-# Cells per array in one row chunk of `_pairwise_coords`. The kernel holds at
-# most 8 accumulators, one term and one partial sum per halving above 128 dims,
-# so a chunk stays far below _CHUNK_CELLS; blocks this small are also 1.5-1.8x
-# faster than 4M-cell ones (dims 2, 8 and 64 on a 2-vCPU AMD EPYC host).
-_KERNEL_CELLS = 65_536
-# Rows per tile of the nearest-center kernel.
-_TILE_ROWS = 256
+# Rows per GEMM tile of the nearest-center screen. Tiles of _BLOCK_CELLS cells
+# (10 rows) took twice as long: 20,000 64-d points to 6,000 centers in 0.77 s
+# against 1.55 s (same Xeon host).
+_SCREEN_ROWS = 256
+
+
+def row_blocks(count: int, row_cells: int, whole: bool = False, max_rows: int | None = None) -> Iterator[slice]:
+    """Consecutive slices that cover range(count) in order.
+
+    Each holds at least one row and at most budget // row_cells rows (and
+    `max_rows`, if given), where the budget is `_CHUNK_CELLS` for a block that
+    is built once and reduced whole and `_BLOCK_CELLS` otherwise. The budgets
+    are read at call time, so setting them on this module resizes every block.
+    """
+    step = max(1, (_CHUNK_CELLS if whole else _BLOCK_CELLS) // max(1, row_cells))
+    if max_rows is not None:
+        step = max(1, min(step, max_rows))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def as_id_array(ids: Iterable[int]) -> np.ndarray:
@@ -177,7 +197,10 @@ class Dataset:
         return float(np.sqrt(np.sum(diff * diff)))
 
     def point_to_ids(self, x: int, ids: np.ndarray) -> np.ndarray:
-        """Distances from one point to each id in `ids` (same order)."""
+        """Distances from one point to each id in `ids` (same order).
+
+        No code in the package calls it; `perfbench` traces it by name.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         self._check_ids(ids)
         self._check_ids(np.asarray([x], dtype=np.int64))
@@ -206,10 +229,9 @@ def _pairwise_coords(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nd
     """
     out = np.empty((rows.size, cols.size), dtype=np.float64)
     b = np.ascontiguousarray(x[cols].T)  # (dim, cols): one contiguous row per coordinate
-    step = max(1, _KERNEL_CELLS // max(1, cols.size))
-    for lo in range(0, rows.size, step):
-        a = np.ascontiguousarray(x[rows[lo : lo + step]].T)
-        np.sqrt(_sum_squares(a, b), out=out[lo : lo + step])
+    for blk in row_blocks(rows.size, cols.size):
+        a = np.ascontiguousarray(x[rows[blk]].T)
+        np.sqrt(_sum_squares(a, b), out=out[blk])
     return out
 
 
@@ -281,12 +303,12 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
     data._check_ids(ids)
     dist = np.empty(ids.size, dtype=np.float64)
     pos = np.empty(ids.size, dtype=np.int64)
-    step = max(1, min(_TILE_ROWS, _CHUNK_CELLS // carr.size))
+    tiles = row_blocks(ids.size, carr.size, whole=True, max_rows=_SCREEN_ROWS)
     if data.matrix is not None:
-        for lo in range(0, ids.size, step):
-            block = data.matrix[np.ix_(ids[lo : lo + step], carr)]
-            dist[lo : lo + step] = block.min(axis=1)
-            pos[lo : lo + step] = block.argmin(axis=1)
+        for blk in tiles:
+            block = data.matrix[np.ix_(ids[blk], carr)]
+            dist[blk] = block.min(axis=1)
+            pos[blk] = block.argmin(axis=1)
         return dist, pos
     x = data.coords
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,8 +316,8 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
         c = x[carr] - shift
         c_sq = np.einsum("ij,ij->i", c, c)
         c_neg2 = -2.0 * c
-    for lo in range(0, ids.size, step):
-        dist[lo : lo + step], pos[lo : lo + step] = _screened_nearest(x, ids[lo : lo + step], carr, shift, c_neg2, c_sq)
+    for blk in tiles:
+        dist[blk], pos[blk] = _screened_nearest(x, ids[blk], carr, shift, c_neg2, c_sq)
     return dist, pos
 
 
@@ -307,10 +329,9 @@ def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     `Dataset.pairwise`; `TestPairwise` checks that the two agree bit for bit.
     """
     out = np.empty(rows.size, dtype=np.float64)
-    step = max(1, _CHUNK_CELLS // x.shape[1])
-    for lo in range(0, rows.size, step):
-        diff = x[rows[lo : lo + step]] - x[cols[lo : lo + step]]
-        out[lo : lo + step] = np.sqrt(np.sum(diff * diff, axis=1))
+    for blk in row_blocks(rows.size, x.shape[1]):
+        diff = x[rows[blk]] - x[cols[blk]]
+        out[blk] = np.sqrt(np.sum(diff * diff, axis=1))
     return out
 
 
@@ -376,14 +397,6 @@ def _screened_nearest(
     pos = np.minimum.reduceat(np.where(exact == dist[r], j, carr.size), starts)
     pos[np.isinf(dist)] = 0  # every column's exact value overflowed; argmin takes the first
     return dist, pos
-
-
-def nearest_center(x: int, centers: CenterSet, data: Dataset) -> tuple[int, float]:
-    """Closest center to x; equal distances resolve to the smallest id."""
-    carr = _centers_array(centers, data)
-    d = data.point_to_ids(x, carr)
-    pos = int(np.argmin(d))  # first minimum == smallest id (carr is sorted)
-    return int(carr[pos]), float(d[pos])
 
 
 def risk(points: Iterable[int], centers: CenterSet, data: Dataset) -> float:

@@ -12,7 +12,7 @@ from .errors import ContractError
 from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
 from .params import PROFILES, Profile
 from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
-from .solvers import EXHAUSTIVE_BUDGET, Solver, local_search_solver, solve_exhaustive
+from .solvers import EXHAUSTIVE_BUDGET, local_search_solver, solve_exhaustive
 from .stream import InstrumentedStream
 
 __all__ = [
@@ -90,7 +90,6 @@ def psi_sandwich_frequency(
     trials: int,
     seed: int,
     profile: Profile = PROFILES["desk"],
-    solver: Solver | None = None,
 ) -> tuple[float, float]:
     """Empirical pass rates of the two-sided risk-estimate bounds.
 
@@ -102,7 +101,7 @@ def psi_sandwich_frequency(
     """
     if trials < 1:
         raise ContractError("trials must be positive")
-    solver = solver or local_search_solver()
+    solver = local_search_solver()
     cfg = make_config(k, data.n, delta, alpha, profile)
     r_upper, r_lower = _lemma_truncations(cfg)
     all_ids = np.arange(data.n, dtype=np.int64)

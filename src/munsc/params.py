@@ -43,17 +43,20 @@ class Profile:
     name: str
     c_phi: float
     c_kplus: float
-    c_psi_denom: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.c_phi <= 0 or self.c_kplus <= 0 or self.c_psi_denom <= 0:
+        if self.c_phi <= 0 or self.c_kplus <= 0:
             raise ContractError("profile constants must be positive")
 
 
 PROFILES: dict[str, Profile] = {
-    "paper": Profile("paper", 150.0, 38.0, 3.0),
-    "desk": Profile("desk", 5.0, 2.0, 3.0),
+    "paper": Profile("paper", 150.0, 38.0),
+    "desk": Profile("desk", 5.0, 2.0),
 }
+
+# psi = (sum of the phase-2 distances left after truncation) / (PSI_DENOM * alpha),
+# in every profile.
+PSI_DENOM = 3.0
 
 
 def _check_k_delta(k: int, delta: float) -> None:

@@ -25,6 +25,7 @@ from .errors import ContractError
 from .metric import CenterSet, Dataset
 from .params import (
     PROFILES,
+    PSI_DENOM,
     Profile,
     k_plus_size,
     phi_alpha,
@@ -112,18 +113,9 @@ def make_config(
     delta: float,
     alpha: float,
     profile: Profile = PROFILES["paper"],
-    gamma: float | None = None,
-    quota: int | None = None,
-    tau: float | None = None,
 ) -> SelectProcConfig:
-    """Standalone configuration with the defaults used by a full-stream copy:
-    gamma = 1 - 2*alpha (read everything); quota and tau default as in
-    SelectProcConfig."""
-    if gamma is None:
-        gamma = 1.0 - 2.0 * alpha
-        p3_end = n
-    else:
-        p3_end = min(n, 2 * ceil(alpha * n) + ceil(gamma * n))
+    """Standalone configuration of a full-stream copy: gamma = 1 - 2*alpha
+    (read everything); quota and tau default as in SelectProcConfig."""
     p1_end = ceil(alpha * n)
     if 2 * p1_end > n:
         raise ContractError("stream too short for two calculation phases at this alpha")
@@ -132,12 +124,10 @@ def make_config(
         n=n,
         delta=delta,
         alpha=alpha,
-        gamma=gamma,
+        gamma=1.0 - 2.0 * alpha,
         profile=profile,
         p1_end=p1_end,
-        p3_end=max(p3_end, 2 * p1_end),
-        quota=quota,
-        tau=tau,
+        p3_end=n,
     )
 
 
@@ -203,7 +193,7 @@ class SelectProcState:
                 "every positive-distance point in phase 3 will be selected as far"
             )
         else:
-            self.psi = float(np.sum(dists[: dists.size - drop])) / (c.profile.c_psi_denom * c.alpha)
+            self.psi = float(np.sum(dists[: dists.size - drop])) / (PSI_DENOM * c.alpha)
         self.threshold = selection_threshold(self.psi, c.k, c.tau)
 
     def _nearest_ref(self, x: int, data: Dataset) -> tuple[int, float]:

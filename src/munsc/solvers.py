@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError
-from .metric import _CHUNK_CELLS, CenterSet, Dataset, as_id_array
+from .metric import CenterSet, Dataset, as_id_array, row_blocks
 
 __all__ = [
     "Solver",
@@ -33,15 +33,10 @@ EXHAUSTIVE_BUDGET = 1_000_000
 # Local search keeps the whole distance matrix up to this many input points;
 # above it, every pass recomputes its tiles of rows to bound memory.
 _MATRIX_LIMIT = 4096
-# Candidate rows scored per tile. 64 beat 16, 32, 128, 256 and 512 on the
-# phase-1 solves of 2-d and 64-d streams (2-vCPU AMD EPYC host).
-_TILE_ROWS = 64
-# The k = 2 exact search: leaves of its candidate tree hold _LEAF_SIZE to
-# 2 * _LEAF_SIZE positions, and its row sums run _PAIR_ROWS pairs at a time.
-# At n = 240, leaves of 1-2 or 4-8 positions and chunks of 32, 64 or 256
-# pairs were slower, with or without pruning (2-vCPU AMD EPYC host).
+# Leaves of the k = 2 exact search's candidate tree hold _LEAF_SIZE to
+# 2 * _LEAF_SIZE positions. At n = 240, leaves of 1-2 or 4-8 positions were
+# slower, with or without pruning (2-vCPU AMD EPYC host).
 _LEAF_SIZE = 3
-_PAIR_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -94,13 +89,12 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
         # Row sums of row blocks, without materializing the full matrix.
         best_risk = np.inf
         best_pos = 0
-        step = max(1, _CHUNK_CELLS // m)
-        for lo in range(0, m, step):
-            sums = data.pairwise(ids[lo : lo + step], ids).sum(axis=1)
+        for blk in row_blocks(m, m, whole=True):
+            sums = data.pairwise(ids[blk], ids).sum(axis=1)
             pos = int(np.argmin(sums))
             if sums[pos] < best_risk:
                 best_risk = float(sums[pos])
-                best_pos = lo + pos
+                best_pos = blk.start + pos
         return CenterSet.of([int(ids[best_pos])])
 
     # rows[c] holds every point's distance to candidate c, contiguously: the
@@ -113,22 +107,22 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
 def _min_sums(table: np.ndarray, a: np.ndarray, b: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The row sum of `np.minimum(table[a[t]], table[b[t]])` for each t.
 
-    Each sum runs over one contiguous row of `table`. Works through
-    `_PAIR_ROWS` pairs at a time inside `work`, a flat buffer of
-    2 * _PAIR_ROWS * table.shape[1] values that the caller reuses, so the
-    temporaries stay small and cost no fresh page faults.
+    Each sum runs over one contiguous row of `table`. Works through one
+    `row_blocks` block of pairs at a time inside `work`, a flat buffer of at
+    least two blocks' values that the caller reuses, so the temporaries stay
+    small and cost no fresh page faults.
     """
-    step = _PAIR_ROWS * table.shape[1]
-    left = work[:step].reshape(_PAIR_ROWS, -1)
-    right = work[step : 2 * step].reshape(_PAIR_ROWS, -1)
+    w = table.shape[1]
     out = np.empty(a.size)
-    for lo in range(0, a.size, _PAIR_ROWS):
-        n = min(_PAIR_ROWS, a.size - lo)
+    for blk in row_blocks(a.size, w):
+        cells = (blk.stop - blk.start) * w
+        left = work[:cells].reshape(-1, w)
+        right = work[cells : 2 * cells].reshape(-1, w)
         # every index is in range; "clip" spares `take` its buffered copy into `out`
-        np.take(table, a[lo : lo + n], axis=0, out=left[:n], mode="clip")
-        np.take(table, b[lo : lo + n], axis=0, out=right[:n], mode="clip")
-        np.minimum(left[:n], right[:n], out=left[:n])
-        left[:n].sum(axis=1, out=out[lo : lo + n])
+        np.take(table, a[blk], axis=0, out=left, mode="clip")
+        np.take(table, b[blk], axis=0, out=right, mode="clip")
+        np.minimum(left, right, out=left)
+        left.sum(axis=1, out=out[blk])
     return out
 
 
@@ -151,7 +145,8 @@ def _best_pair(rows: np.ndarray) -> tuple[int, int]:
     """
     m = rows.shape[0]
     members, colmin = _candidate_tree(rows)
-    work = np.empty(2 * _PAIR_ROWS * m)
+    # two blocks of rows: no call scores more than m * m pairs
+    work = np.empty(2 * m * next(row_blocks(m * m, m)).stop)
     every = np.arange(m)
     a = int(np.argmin(rows.sum(axis=1)))
     for _ in range(2):
@@ -248,7 +243,8 @@ def _best_completion(
     strict minimum.
     """
     m = rows.shape[0]
-    if r == 1 or comb(m - start, r) * m <= _CHUNK_CELLS:
+    count = comb(m - start, r)
+    if r == 1 or next(row_blocks(count, m, whole=True)).stop == count:  # one block holds every completion
         return _batch_best(rows, prefix_min, start, r)
     best_risk = np.inf
     best: tuple[int, ...] = ()
@@ -370,8 +366,8 @@ def solve_local_search(
     cur = float(state[0].sum())
     for _ in range(max_iters):
         swapped = False
-        for lo in range(0, m, _TILE_ROWS):
-            tile = rows_of(slice(lo, lo + _TILE_ROWS))
+        for blk in row_blocks(m, m):
+            tile = rows_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
                 # a center never passes: its row is nowhere below d1, so each score is >= cur
@@ -381,7 +377,7 @@ def solve_local_search(
                     break
                 slot = int(np.argmin(risks[hits[0]]))
                 i += int(hits[0])
-                centers[slot] = lo + i
+                centers[slot] = blk.start + i
                 center_rows[slot] = tile[i]
                 state = _assign(center_rows)
                 cur = float(state[0].sum())

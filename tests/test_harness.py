@@ -21,9 +21,11 @@ from munsc.harness import (
     run_experiment,
     save_dataset,
 )
+import munsc.harness.cli as cli_mod
+from munsc.harness.bench import run_suite
 from munsc.harness.cli import main as cli_main
 from munsc.harness.experiment import _ratio
-from munsc.harness.validate import check_schedule_examples, naive_distance
+from munsc.harness.validate import CheckResult, check_schedule_examples, naive_distance
 
 
 class TestMixtureGenerator:
@@ -269,6 +271,20 @@ class TestCli:
     def test_validate_exit_code(self, capsys):
         assert cli_main(["validate"]) == 0
         assert "6/6 checks passed" in capsys.readouterr().out
+
+    def test_validate_failing_check_exits_one(self, monkeypatch, capsys):
+        results = [CheckResult(f"check_{i}", i != 3, f"summary {i}") for i in range(6)]
+        monkeypatch.setattr(cli_mod, "run_validate_suite", lambda: results)
+        assert cli_main(["validate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL check_3: summary 3" in out
+        assert sum(line.startswith("PASS ") for line in out) == 5
+        assert out[-1] == "5/6 checks passed"
+
+    def test_bench_jobs_match_serial(self):
+        serial = run_suite("ratio", trials=2, jobs=1)
+        assert run_suite("ratio", trials=2, jobs=2) == serial
+        assert [row["trial"] for row in serial] == [0, 1]
 
     def test_env_seed_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MUNSC_SEED", "17")

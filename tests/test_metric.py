@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from munsc import CenterSet, ContractError, Dataset, far_r, nearest_center, risk, truncated_risk
+from munsc import CenterSet, ContractError, Dataset, far_r, risk, truncated_risk
 import munsc.metric as metric_mod
-from munsc.metric import as_id_array, nearest_dists
+from munsc.metric import as_id_array, nearest_dists, row_blocks
 
 
 def linear_scan_nearest(data, x, centers):
@@ -65,13 +66,22 @@ class TestDataset:
             ds.dist(0, 2)
 
 
+def nearest_center(x, centers, data):
+    """(center id, distance) of one point's nearest center, by `nearest_dists`."""
+    dist, pos = nearest_dists(np.array([x]), centers, data)
+    return centers.ids[int(pos[0])], float(dist[0])
+
+
 class TestNearestCenter:
+    """`nearest_dists` as a one-point lookup, against a linear scan."""
+
     def test_member_of_center_set(self, line_dataset):
         assert nearest_center(2, CenterSet.of([2, 3]), line_dataset) == (2, 0.0)
 
     def test_symmetric_tie_breaks_to_smaller_id(self):
         ds = Dataset.from_coords([[0.0], [1.0], [2.0]])
         assert nearest_center(1, CenterSet.of([0, 2]), ds) == (0, 1.0)
+        assert nearest_center(1, CenterSet.of([0, 2]), Dataset.from_matrix(ds.pairwise(range(3), range(3)))) == (0, 1.0)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(17)
@@ -82,12 +92,28 @@ class TestNearestCenter:
 
     def test_empty_center_set_rejected(self, line_dataset):
         with pytest.raises(ContractError):
-            nearest_center(0, CenterSet(()), line_dataset)
+            nearest_dists(np.array([0]), CenterSet(()), line_dataset)
+        with pytest.raises(ContractError):
+            nearest_dists(np.empty(0, dtype=np.int64), CenterSet(()), line_dataset)
 
     def test_deterministic(self, line_dataset):
         t = CenterSet.of([0, 2])
         first = nearest_center(1, t, line_dataset)
         assert all(nearest_center(1, t, line_dataset) == first for _ in range(5))
+
+
+def test_row_blocks_cover_the_range(monkeypatch):
+    monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 30)
+    monkeypatch.setattr(metric_mod, "_CHUNK_CELLS", 90)
+    for whole, count, row_cells, max_rows in itertools.product(
+        (False, True), (0, 1, 2, 7, 30, 31, 100), (0, 1, 3, 10, 29, 30, 31, 1000), (None, 1, 4)
+    ):
+        budget = 90 if whole else 30
+        full = max(1, min(budget // max(1, row_cells), max_rows or budget))  # the most rows a block may hold
+        blocks = list(row_blocks(count, row_cells, whole, max_rows))
+        assert [i for blk in blocks for i in range(count)[blk]] == list(range(count))
+        assert all(blk.step is None and 1 <= blk.stop - blk.start <= full for blk in blocks)
+        assert all(blk.stop - blk.start == full for blk in blocks[:-1])
 
 
 def broadcast_pairwise(x, rows, cols):
@@ -103,7 +129,7 @@ class TestPairwise:
     # with and without a remainder, and the recursive halving above 128
     @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 65, 128, 129, 130, 300])
     def test_matches_broadcast(self, dim, monkeypatch):
-        monkeypatch.setattr(metric_mod, "_KERNEL_CELLS", 300)  # 10-row chunks: 4 per call
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 300)  # 10-row chunks: 4 per call
         rng = np.random.default_rng(100 + dim)
         normal = rng.normal(size=(40, dim))
         lattice = np.round(normal)
@@ -143,7 +169,7 @@ class TestPairwise:
     # the exact oracle reads row c of pairwise(ids, ids) as column c
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 64, 129])
     def test_square_block_is_exactly_symmetric(self, dim, monkeypatch):
-        monkeypatch.setattr(metric_mod, "_KERNEL_CELLS", 300)  # several chunks per call
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 300)  # several chunks per call
         rng = np.random.default_rng(dim)
         ids = rng.permutation(40)
         for offset in (0.0, 1e6):

@@ -16,7 +16,7 @@ from munsc import (
     selection_threshold,
     theorem_constants,
 )
-from munsc.params import psi_truncation_count
+from munsc.params import PSI_DENOM, psi_truncation_count
 
 PAPER = PROFILES["paper"]
 DESK = PROFILES["desk"]
@@ -91,8 +91,9 @@ def test_ceiling_affine_slope_504():
 
 
 def test_profile_presets():
-    assert PAPER.c_phi == 150.0 and PAPER.c_kplus == 38.0 and PAPER.c_psi_denom == 3.0
-    assert DESK.c_phi == 5.0 and DESK.c_kplus == 2.0 and DESK.c_psi_denom == 3.0
+    assert PAPER.c_phi == 150.0 and PAPER.c_kplus == 38.0
+    assert DESK.c_phi == 5.0 and DESK.c_kplus == 2.0
+    assert PSI_DENOM == 3.0
     with pytest.raises(ContractError):
         Profile("bad", -1.0, 2.0)
 

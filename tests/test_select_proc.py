@@ -50,7 +50,8 @@ class TestDeriveParameters:
         with pytest.raises(TypeError):
             SelectProcConfig(k=2, n=100, delta=0.1, alpha=0.1, gamma=0.8, profile=PAPER,
                              p1_end=10, p3_end=100, phi=1.0)
-        cfg = make_config(2, 1000, 0.1, 0.1, PAPER, quota=3, tau=2.5)
+        cfg = SelectProcConfig(k=2, n=1000, delta=0.1, alpha=0.1, gamma=0.8, profile=PAPER,
+                               p1_end=100, p3_end=1000, quota=3, tau=2.5)
         assert (cfg.quota, cfg.tau, cfg.p2_end) == (3, 2.5, 200)
         with pytest.raises(AttributeError):
             cfg.k_plus = 1
@@ -69,7 +70,7 @@ class TestConfig:
 
     def test_stream_too_short(self):
         with pytest.raises(ContractError):
-            make_config(2, 1, 0.2, 1.0 / 6.0, DESK, gamma=0.5)
+            make_config(2, 1, 0.2, 1.0 / 6.0, DESK)
 
 
 def _truth_table_state():
@@ -81,7 +82,8 @@ def _truth_table_state():
     """
     coords = [[0.0], [100.0], [50.0], [60.0], [1.0], [2.0], [10.0], [104.0], [102.0], [101.0], [0.5]]
     data = Dataset.from_coords(coords)
-    cfg = make_config(2, 11, 0.5, 1.0 / 6.0, DESK, quota=1, tau=1.0)
+    cfg = SelectProcConfig(k=2, n=11, delta=0.5, alpha=1.0 / 6.0, gamma=1.0 - 2.0 / 6.0, profile=DESK,
+                           p1_end=2, p3_end=11, quota=1, tau=1.0)
     state = SelectProcState(cfg)
     solver = exhaustive_solver()
     selected = []
@@ -162,7 +164,7 @@ class TestPhases:
     def test_suffix_ignored(self):
         coords = [[float(i)] for i in range(12)]
         data = Dataset.from_coords(coords)
-        cfg = make_config(2, 12, 0.5, 1.0 / 6.0, DESK, gamma=0.25)
+        cfg = SelectProcConfig(k=2, n=12, delta=0.5, alpha=1.0 / 6.0, gamma=0.25, profile=DESK, p1_end=2, p3_end=7)
         state = SelectProcState(cfg)
         selected = [observe(state, x, data, exhaustive_solver()) for x in range(12)]
         assert cfg.p3_end < 12

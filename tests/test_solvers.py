@@ -16,6 +16,7 @@ from munsc import (
     solve_exhaustive,
     solve_local_search,
 )
+import munsc.metric as metric_mod
 import munsc.solvers as solvers_mod
 from munsc.metric import nearest_dists
 from munsc.solvers import EXHAUSTIVE_BUDGET
@@ -57,12 +58,12 @@ def assert_single_swap_optimum(data: Dataset, ids, k):
 
 @pytest.fixture(params=["default", "small"])
 def exhaustive_budget(request, monkeypatch):
-    """Run at the default chunk budgets and at ones so small that the search
+    """Run at the default block budgets and at ones so small that the search
     descends into prefixes and enumerates many small batches, and the k = 2
-    search scores its pairs three at a time."""
+    search scores its pairs a few at a time (three at m = 100)."""
     if request.param == "small":
-        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 300)
-        monkeypatch.setattr(solvers_mod, "_PAIR_ROWS", 3)
+        monkeypatch.setattr(metric_mod, "_CHUNK_CELLS", 300)
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 300)
     return request.param
 
 
@@ -171,12 +172,12 @@ class TestExhaustive:
             return batch_best(rows, prefix_min, start, r)
 
         monkeypatch.setattr(solvers_mod, "_batch_best", spy)
-        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 300)
+        monkeypatch.setattr(metric_mod, "_CHUNK_CELLS", 300)
         ds = Dataset.from_coords(np.random.default_rng(5).normal(size=(12, 2)))
         solve_exhaustive(range(12), 5, ds)
         assert all(not root for root, _ in calls)  # the root descended
         assert max(r for _, r in calls) > 1  # multi-level batches ran
-        monkeypatch.setattr(solvers_mod, "_CHUNK_CELLS", 10**6)
+        monkeypatch.setattr(metric_mod, "_CHUNK_CELLS", 10**6)
         calls.clear()
         solve_exhaustive(range(12), 5, ds)
         assert calls == [(True, 5)]  # one batch at the root
@@ -220,14 +221,15 @@ class TestLocalSearch:
         ]
         assert all(a >= b - 1e-9 for a, b in zip(risks, risks[1:]))
 
-    @pytest.mark.parametrize("tile_rows", [1, 7, None], ids=["rows1", "rows7", "rows-default"])
+    # tiles of 1 row, and of 7 rows at m = 120 (5 at m = 150, 21 at m = 40)
+    @pytest.mark.parametrize("block_cells", [1, 7 * 120, None], ids=["rows1", "rows7", "rows-default"])
     @pytest.mark.parametrize("matrix_limit", [None, 0], ids=["matrix", "recomputed"])
-    def test_tiles_and_matrix_do_not_move_selections(self, pool_dataset, monkeypatch, tile_rows, matrix_limit):
+    def test_tiles_and_matrix_do_not_move_selections(self, pool_dataset, monkeypatch, block_cells, matrix_limit):
         cases = [(pool_dataset, range(120), 3), (pool_dataset, range(0, 300, 2), 5)]
         cases += [(ds, range(ds.n), k) for ds in map(near_tie_dataset, (34, 54, 71, 75)) for k in (2, 3)]
         expected = [solve_local_search(ids, k, ds) for ds, ids, k in cases]
-        if tile_rows is not None:
-            monkeypatch.setattr(solvers_mod, "_TILE_ROWS", tile_rows)
+        if block_cells is not None:
+            monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", block_cells)
         if matrix_limit is not None:
             monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
         assert [solve_local_search(ids, k, ds) for ds, ids, k in cases] == expected
@@ -260,7 +262,7 @@ class TestLocalSearch:
         for matrix_limit in (4096, 0):
             monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
             for tile_rows in (20, 1):
-                monkeypatch.setattr(solvers_mod, "_TILE_ROWS", tile_rows)
+                monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", tile_rows * 120)
                 assert solve_local_search(range(120), 2, ds).ids == (0, 40)
         assert len(distinct) > 4 and set(distinct) == {2}  # no swap ever duplicated a center
 
