@@ -330,15 +330,19 @@ def solve_local_search(
     data: Dataset,
     max_iters: int = 100,
 ) -> CenterSet:
-    """Eager single-swap local search: stop after a full pass with no swap.
+    """Eager single-swap local search: stop once every position has been
+    scored, with no swap, against the current centers.
 
     Fully deterministic: greedy farthest-point initialization from the
-    smallest id (ties to the smaller id), then passes over the positions in
+    smallest id (ties to the smaller id), then sweeps over the positions in
     ascending order. Each candidate's best swap, scored with the current
     nearest and second-nearest distances, is made at once if it lowers the
-    risk by a relative 1e-12, which avoids float-noise cycling.
-    `max_iters` bounds the passes; beta = 5 holds only for a solve that ends
-    on a pass with no swap, a single-swap local optimum.
+    risk by a relative 1e-12, which avoids float-noise cycling. The search
+    stops at the first block of positions that starts past the last swap's
+    position, in a later sweep: the rest of the sweep would score each
+    candidate as before, with the same centers. `max_iters` bounds the
+    sweeps, the last of them possibly cut short; beta = 5 holds only for a
+    solve that stops on that rule, at a single-swap local optimum.
     """
     ids = as_id_array(points)
     if ids.size == 0:
@@ -364,9 +368,12 @@ def solve_local_search(
     center_rows = rows_of(centers)
     state = _assign(center_rows)
     cur = float(state[0].sum())
-    for _ in range(max_iters):
-        swapped = False
+    last = -1  # sweep * m + position of the last swap, as if one came just before the first sweep
+    for sweep in range(max_iters):
         for blk in row_blocks(m, m):
+            if sweep * m + blk.start > last + m:
+                # every position has been scored against the current centers
+                return CenterSet.of(int(ids[p]) for p in centers)
             tile = rows_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
@@ -381,10 +388,8 @@ def solve_local_search(
                 center_rows[slot] = tile[i]
                 state = _assign(center_rows)
                 cur = float(state[0].sum())
-                swapped = True
+                last = sweep * m + blk.start + i
                 i += 1
-        if not swapped:
-            break
     return CenterSet.of(int(ids[p]) for p in centers)
 
 

@@ -179,6 +179,36 @@ class TestPairwise:
                 assert np.array_equal(block, block.T)
                 assert block.tobytes() == block.T.tobytes()
 
+    # both sides of the mirror gate: square blocks of 8 dims or more compute the upper half
+    @pytest.mark.parametrize("dim", [2, 7, 8, 9, 64, 129])
+    def test_mirrored_square_block_matches_broadcast(self, dim, monkeypatch):
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 400)  # 10-row blocks: 4 to 5 per call
+        computed = []
+
+        def counting(a, b):
+            if a.shape[0] == dim:  # not the halves it recurses into above 128 dims
+                computed.append(a.shape[1] * b.shape[1])
+            return sum_squares(a, b)
+
+        sum_squares = metric_mod._sum_squares
+        monkeypatch.setattr(metric_mod, "_sum_squares", counting)
+        rng = np.random.default_rng(200 + dim)
+        pts = rng.normal(size=(40, dim))
+        unsorted = rng.permutation(40)
+        repeated = np.concatenate((unsorted[:30], unsorted[:10]))  # 40 ids, ten of them twice
+        other = rng.permutation(40)  # same size as `unsorted`, different order: never mirrored
+        for offset in (0.0, 1e6):
+            for scale in (1.0, 1e-160, 1e155):
+                x = (pts + offset) * scale
+                ds = Dataset.from_coords(x)
+                for rows, cols in ((unsorted, unsorted), (repeated, repeated), (unsorted, other)):
+                    computed.clear()
+                    with np.errstate(over="ignore"):
+                        block = ds.pairwise(rows, cols)
+                        assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+                    mirrored = dim >= 8 and rows is cols
+                    assert (sum(computed) < 40 * 40) == mirrored
+
     def test_empty_blocks(self, line_dataset):
         empty = np.empty(0, dtype=np.int64)
         assert line_dataset.pairwise(empty, [0, 1]).shape == (0, 2)
@@ -334,6 +364,56 @@ class TestTruncatedRisk:
         pts = range(60)
         vals = [truncated_risk(pts, t, r, pool_dataset) for r in range(0, 65, 5)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+class TestCenterShortcut:
+    """Centers take a distance of 0 without `nearest_dists`; every result keeps
+    the bits of the formulas that sent each point to `nearest_dists`."""
+
+    @staticmethod
+    def scanned(points, centers, data):
+        ids = as_id_array(points)
+        d = nearest_dists(ids, centers, data)[0]
+        return ids, d, ids[np.lexsort((ids, -d))]
+
+    def assert_as_scanned(self, points, centers, data):
+        ids, d, order = self.scanned(points, centers, data)
+        assert risk(points, centers, data).hex() == float(np.sum(d)).hex()
+        assert metric_mod.farthest_order(points, centers, data).tolist() == order.tolist()
+        for r in (0, 1, 3, ids.size // 2, ids.size - 1):
+            assert far_r(points, centers, r, data) == set(order[:r].tolist())
+            if r < ids.size:
+                keep = np.isin(ids, order[r:])
+                assert truncated_risk(points, centers, r, data).hex() == float(np.sum(d[keep])).hex()
+
+    @pytest.mark.parametrize("mode", ["coords", "matrix"])
+    def test_matches_nearest_dists(self, mode):
+        rng = np.random.default_rng(31)
+        lattice = np.round(rng.normal(0, 3, size=(60, 9)))
+        lattice[30:] = lattice[:30]  # ids i and i + 30 are the same point
+        for x in (rng.normal(0, 5, size=(60, 9)) + 1e6, lattice):
+            data = Dataset.from_coords(x)
+            if mode == "matrix":
+                data = Dataset.from_matrix(data.pairwise(range(60), range(60)))
+            centers = CenterSet.of([3, 17, 33, 47])  # 3 and 33 are twins on the lattice
+            cases = {
+                "superset": range(60),
+                "partial": range(10, 40),
+                "disjoint": [0, 1, 2, 4, 30, 31, 59],
+                "centers only": centers.ids,
+            }
+            for points in cases.values():
+                self.assert_as_scanned(points, centers, data)
+
+    def test_negative_zero_diagonal_is_normalized(self):
+        m = np.array([[-0.0, 2.0, 3.0], [2.0, -0.0, 1.5], [3.0, 1.5, 0.0]])
+        data = Dataset.from_matrix(m)  # -0.0 == 0.0, so validation accepts it
+        assert not np.signbit(data.matrix).any()
+        everything = CenterSet.of(range(3))
+        assert risk(range(3), everything, data).hex() == "0x0.0p+0"
+        assert nearest_dists(np.arange(3), everything, data)[0].tobytes() == np.zeros(3).tobytes()
+        self.assert_as_scanned(range(3), CenterSet.of([0]), data)
+        self.assert_as_scanned([0, 1], CenterSet.of([0, 1]), data)
 
 
 def test_as_id_array_inputs():
