@@ -25,6 +25,7 @@ from .params import (
     TheoremConstants,
     alpha_schedule,
     k_plus_size,
+    min_nondegenerate_n,
     phi_alpha,
     quota_default,
     ratio_ceiling,
@@ -79,6 +80,7 @@ __all__ = [
     "k_plus_size",
     "local_search_solver",
     "make_config",
+    "min_nondegenerate_n",
     "observe",
     "phi_alpha",
     "psi_sandwich_frequency",

@@ -104,6 +104,8 @@ def run_suite(
     """Run a named suite and return its rows, at least one per trial."""
     if trials < 1:
         raise ContractError(f"trials must be positive, got {trials}")
+    if jobs < 1:
+        raise ContractError(f"jobs must be positive, got {jobs}")
     if suite == "ratio":
         work = [(t, n, k, delta, seed) for t in range(trials)]
         rows = list(_map(jobs, _ratio_trial, work))
@@ -128,7 +130,7 @@ def write_rows(rows: list[dict], out: str | Path) -> None:
 
 
 def _map(jobs: int, fn, work):
-    if jobs <= 1:
+    if jobs == 1:
         return [fn(w) for w in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, work))

@@ -8,6 +8,7 @@ order for every distance comparison in the package.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -39,8 +40,19 @@ _BLOCK_CELLS = 65_536
 _CHUNK_CELLS = 4_000_000
 # Rows per GEMM tile of the nearest-center screen. Tiles of _BLOCK_CELLS cells
 # (10 rows) took twice as long: 20,000 64-d points to 6,000 centers in 0.77 s
-# against 1.55 s (same Xeon host).
+# against 1.55 s (same Xeon host). Float32 tiles, half the bytes, of 128, 256,
+# 512 and 1024 rows took 0.36, 0.33, 0.36 and 0.38 s for 13,770 64-d rows to
+# 6,230 centers, and 0.112, 0.099, 0.101 and 0.113 s for 41,158 2-d rows to 842.
 _SCREEN_ROWS = 256
+# A call screens in float32 from this many centers on. Below, a tile is too
+# narrow to repay float32's fixed costs: 4,000 2-d rows to 64, 128 and 256
+# centers took 1.13x, 1.05x and 0.90x the float64 time (same Xeon host).
+_F32_COLS = 256
+# A float32 tile that keeps more than this many columns per row on average is
+# redone in float64, and so is the rest of its call. Float32 broke even at
+# about 13 (2-d) and 10 (64-d) kept columns a row: 10,000 rows to 1,000
+# centers in clusters too tight for it (same Xeon host). Blobs keep 1-2.
+_F32_KEPT = 8
 # Square `pairwise` blocks of at least this many dims compute the upper half
 # and mirror it. From 8 dims on, `_sum_squares` leaves its sequential branch
 # and the mirror pays: m = 2000 took 612 -> 354 ms in 64-d and 90 -> 56 ms in
@@ -313,6 +325,8 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
     its `min` / `argmin` along axis 1: equal distances go to the smallest
     center id. Matrix datasets gather their rows; coordinate datasets use the
     screened kernel `_screened_nearest` and never build the n x |T| block.
+    Its screen runs in float32 from `_F32_COLS` centers on, until a tile keeps
+    too many columns; then that tile and the rest of the call run in float64.
     """
     carr = _centers_array(centers, data)
     ids = np.asarray(ids, dtype=np.int64)
@@ -330,11 +344,32 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x[carr].mean(axis=0)
         c = x[carr] - shift
-        c_sq = np.einsum("ij,ij->i", c, c)
-        c_neg2 = -2.0 * c
+        exp = -math.frexp(np.abs(c).max())[1]  # 2^exp puts the largest |c_t| in [1/2, 1)
+        np.ldexp(c, exp, out=c)
+        f32 = x.shape[1] <= 1024 and carr.size >= _F32_COLS  # the slack's bound needs d u <= 2^-14
+        screen = _screen_centers(c, exp, np.float32 if f32 else np.float64)
     for blk in tiles:
-        dist[blk], pos[blk] = _screened_nearest(x, ids[blk], carr, shift, c_neg2, c_sq)
+        found = _screened_nearest(x, ids[blk], carr, shift, exp, *screen)
+        if found is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = _screen_centers(c, exp, np.float64)
+            found = _screened_nearest(x, ids[blk], carr, shift, exp, *screen)
+        dist[blk], pos[blk] = found
     return dist, pos
+
+
+def _screen_centers(c: np.ndarray, exp: int, precision: type) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The center side of a `_screened_nearest` screen in `precision`, for scaled centers c.
+
+    Returns coef, fl(-2 c), fl(|c|^2) and the part of the slack that every
+    row shares, coef max |c|^2 plus the exact kernel's underflow floor.
+    """
+    d = c.shape[1]
+    c_sq = np.einsum("ij,ij->i", c, c)
+    coef = (d + 10) * float(np.finfo(precision).eps) / 2 + (3 * d + 16) * 2.0**-53
+    base = coef * float(c_sq.max()) + (d + 1) * 2.0 ** min(2 * exp - 1072, 1023)  # inf past the range
+    c_neg2 = np.multiply(c, -2.0, dtype=precision)  # fl(-2 c) = -2 fl(c)
+    return coef, c_neg2, c_sq.astype(precision, copy=False), base
 
 
 def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -352,60 +387,87 @@ def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
 
 
 def _screened_nearest(
-    x: np.ndarray, rows: np.ndarray, carr: np.ndarray, shift: np.ndarray, c_neg2: np.ndarray, c_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    x: np.ndarray,
+    rows: np.ndarray,
+    carr: np.ndarray,
+    shift: np.ndarray,
+    exp: int,
+    coef: float,
+    c_neg2: np.ndarray,
+    c_sq: np.ndarray,
+    base: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact nearest center for one tile of rows, screened by a GEMM bound.
 
-    Screen. Shift both sides by a fixed point: a' = fl(a - shift) and
-    c' = fl(c - shift). Within a row, |a - c|^2 = |a'|^2 + (|c'|^2 - 2 a'.c')
-    up to rounding, and |a'|^2 is the same for every column, so the screen is
-    t = fl(|c'|^2 + a'.(-2 c')), one GEMM per tile.
+    Screen. Shift both sides by a fixed point and scale them by 2^exp, which
+    puts the largest center coordinate in [1/2, 1): A = 2^exp fl(a - shift)
+    and C = 2^exp fl(c - shift), exact but for underflow and overflow.
+    Within a row, |A - C|^2 = |A|^2 + T with T = |C|^2 - 2 A.C, and |A|^2
+    is the same for every column. The screen computes T in the precision p
+    of `c_neg2`, float32 or float64: t = fl(c_sq + fl_p(A) . c_neg2), one
+    GEMM per tile, with c_neg2 = fl_p(-2 C) and c_sq = fl_p(|C|^2).
 
-    Slack. Let u = 2^-53, d = dim, g_d = d u / (1 - d u), N = |a'|^2 + |c'|^2,
-    and let q be the exact kernel's sum fl(sum fl(a_t - c_t)^2) before its
-    square root. For any summation order (blocked, pairwise, with or without
-    FMA), with relative rounding and no underflow, to first order in u, each
-    column carries these errors:
-      - the screen: |c'|^2 errs by at most g_d |c'|^2, the dot product with
-        -2 c' by 2 g_d |a'||c'| <= g_d N, and the addition by 2 u N;
+    Slack. Let u be the unit roundoff of p, w = 2^-53 that of float64,
+    d = dim, N = |A|^2 + |C|^2, and q the exact kernel's sum fl(sum
+    fl(a_t - c_t)^2) before its square root. For any summation order
+    (blocked, pairwise, with or without FMA), to first order in u and w,
+    each column carries these errors:
+      - c_sq: d w |C|^2 from its float64 sum and u |C|^2 from the rounding
+        to p;
+      - input rounding: fl_p(A_t) and fl_p(C_t) err by at most u |A_t| and
+        u |C_t|, which moves the product with -2 C by at most
+        4 u sum |A_t C_t| <= 2 u N (by nothing in float64);
+      - the GEMM: g_d sum |2 A_t C_t| <= d u N, with g_d = d u / (1 - d u);
+      - the addition: u (|C|^2 + 2 |A| |C|) <= 2 u N;
       - the shift moves each coordinate difference by at most
-        u (|a'_t| + |c'_t|), so | |a-c|^2 - |a'-c'|^2 | <= 4 u N;
-      - the exact kernel's q errs by at most g_(d+2) |a-c|^2 <= 2 g_(d+2) N;
+        w (|a'_t| + |c'_t|), so | |a-c|^2 - |a'-c'|^2 | <= 4 w N;
+      - the exact kernel's q errs by at most g_(d+2) |a-c|^2 <= 2 (d+2) w N;
       - two columns whose rounded square roots tie have q values within
-        4 u q <= 8 u N of each other, so a tie at the minimum is kept.
-    That is at most (4 d + 18) u N per column. So the column that holds the
-    exact minimum has t <= min(t) + 2 (4 d + 18) u M, where M = |a'|^2 +
-    max |c'|^2 bounds N over the row; rounding min(t) + 2 S adds 2 u M. The
-    slack S = coef M with coef = (4 d + 32) eps = (8 d + 64) u covers this
-    twice over, which also covers the second-order terms (among them M taken
-    from the rounded norms and the rounding of S) while d u <= 2^-20.
-    Underflow adds an absolute error of at most 2^-1075 per product: 3 d per
-    column on the path above and 2 in the slack, well inside the floor
-    (d + 1) 2^-1072 added to S. Columns with t > min(t) + 2 S are dropped.
+        4 w q <= 8 w N of each other, so a tie at the minimum is kept.
+    That is at most e N with e = (d + 5) u + (3 d + 16) w. So every column
+    that holds the exact minimum has t <= min(t) + 2 e M, where M = |A|^2 +
+    max |C|^2 bounds N over the row. The slack S = coef M, coef = (d + 10) u
+    + (3 d + 16) w, leaves 10 u M spare: for the second-order terms, below
+    u M while d u <= 2^-14 (float32 serves d <= 1024 only), and for computing
+    M, S and min(t) + 2 S in float64. A float32 t is compared with the
+    largest float32 at or below min(t) + 2 S, which keeps the same columns.
+    Underflow in the screen adds at most 2^-150 (float32) per product and
+    per rounded input, (4 d + 2) 2^-150 per column, and M >= max |C|^2 >=
+    1/4 makes that far less than u M; if every C is 0, every t is the same.
+    The exact kernel is not scaled. Its squares may underflow, by at most
+    2^-1075 each, d per column: well inside the floor (d + 1) 2^-1072, times
+    2^(2 exp) in the screen's units, added to S. Columns with t > min(t) +
+    2 S are dropped.
 
     Refine. Only the kept columns are recomputed with the exact expression;
     the first minimum among them, in ascending center order, is the same
     value and position that `pairwise(...).min` / `argmin` would give.
 
-    Fallback. Overflow anywhere in the screen leaves a non-finite value in
-    its row, and such a row is recomputed over all its columns. The bound
-    above holds for every column whose exact value is finite, so a kept
-    minimum of inf means every column overflowed, and the position is the
-    first column's. Correctness never depends on the data; the shift only
-    keeps the screen tight far from the origin.
+    Fallback. A row with sum |A_t| >= max_p / 16 (max_p the largest finite
+    value of p; or non-finite) is recomputed over all its columns. Below
+    that, |fl_p(-2 C_t)| <= 2 bounds every partial sum of the GEMM by
+    2 (1 + u)^(d+1) sum |A_t| < max_p / 4, so no t overflows. The exact
+    values may still overflow; a minimum of inf means every column did, and
+    the position is the first column's. Correctness never depends on the
+    data; the shift and scale only keep the screen tight. A float32 screen
+    that keeps more than `_F32_KEPT` columns a row, on average over the
+    tile, returns None, and the caller screens the tile again in float64.
     """
-    d = x.shape[1]
-    coef = (4 * d + 32) * np.finfo(np.float64).eps
-    floor = (d + 1) * 2.0**-1072
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow sends its row to the fallback
+    with np.errstate(over="ignore", invalid="ignore"):
         a = x[rows] - shift
-        t = a @ c_neg2.T
+        np.ldexp(a, exp, out=a)
+        t = a.astype(c_neg2.dtype, copy=False) @ c_neg2.T
         t += c_sq
         low = t.min(axis=1)
-        full = ~(np.isfinite(low) & np.isfinite(t.max(axis=1)))  # min and max both propagate nan
-        slack = coef * (np.einsum("ij,ij->i", a, a) + c_sq.max()) + floor
-        keep = t <= (low + 2.0 * slack)[:, None]
+        thr = low + 2.0 * (coef * np.einsum("ij,ij->i", a, a) + base)
+        if t.dtype != thr.dtype:  # the largest float32 <= thr
+            lim = thr.astype(t.dtype)
+            thr = np.nextafter(lim, -np.inf, out=lim, where=lim > thr)
+        keep = t <= thr[:, None]
+        full = ~(np.abs(a).sum(axis=1) < np.finfo(t.dtype).max / 16)
     keep[full] = True
+    if c_neg2.dtype == np.float32 and np.count_nonzero(keep) > _F32_KEPT * rows.size:
+        return None
     r, j = np.divmod(np.flatnonzero(keep), carr.size)  # row-major: columns ascend within a row
     exact = _exact_dists(x, rows[r], carr[j])
     starts = np.searchsorted(r, np.arange(rows.size))  # every row keeps its smallest t

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractError
 from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
-from .params import PROFILES, Profile
+from .params import PROFILES, Profile, min_nondegenerate_n
 from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
 from .solvers import EXHAUSTIVE_BUDGET, local_search_solver, solve_exhaustive
 from .stream import InstrumentedStream
@@ -63,8 +63,9 @@ def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile
     the lower bound truncates everything past phase 1 (drop counts in
     `_lemma_truncations`). Either bound holds trivially once its truncation
     swallows the whole set, and the estimate itself degenerates to zero when
-    its truncation count reaches the phase-2 size. Raises ContractError when
-    no copy can run at this alpha and n.
+    its truncation count reaches the phase-2 size, which it does for every n
+    below `min_nondegenerate_n`. Raises ContractError when no copy can run at
+    this alpha and n.
     """
     cfg = make_config(k, n, delta, alpha, profile)
     p1 = cfg.p1_end
@@ -75,6 +76,7 @@ def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile
         "p2_size": p1,
         "psi_truncation": cfg.psi_drop,
         "psi_degenerate": cfg.psi_drop >= p1,
+        "min_nondegenerate_n": min_nondegenerate_n(k, delta, alpha, profile),
         "upper_truncation": r_upper,
         "upper_vacuous": r_upper >= n,
         "lower_truncation": r_lower,

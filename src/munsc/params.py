@@ -21,6 +21,7 @@ __all__ = [
     "k_plus_size",
     "quota_default",
     "psi_truncation_count",
+    "min_nondegenerate_n",
     "selection_threshold",
     "alpha_schedule",
     "theorem_constants",
@@ -98,6 +99,24 @@ def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     if phi < 0 or alpha <= 0 or k < 1:
         raise ContractError("invalid truncation inputs")
     return int(math.floor(2.0 * alpha * (k + 1) * phi))
+
+
+def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) -> int:
+    """Smallest stream length n at which a copy at scale alpha keeps a psi.
+
+    That is the smallest n whose phase-1 size ceil(alpha * n), the expression
+    `compute_schedule` and `make_config` use, exceeds the psi truncation
+    count; below it the truncation drops every phase-2 distance and psi = 0.
+    The count floor(2 alpha (k+1) phi_alpha) hardly depends on alpha, so n
+    grows like 1 / alpha.
+    """
+    drop = psi_truncation_count(k, alpha, phi_alpha(k, delta, alpha, profile))
+    n = math.floor(drop / alpha) + 1  # alpha * n > drop in exact arithmetic; rounding may move it by one
+    while math.ceil(alpha * n) <= drop:
+        n += 1
+    while n > 1 and math.ceil(alpha * (n - 1)) > drop:
+        n -= 1
+    return n
 
 
 def selection_threshold(psi: float, k: int, tau: float) -> float:

@@ -2,9 +2,10 @@
 
 The selections, optima and risks below were recorded before square blocks
 were mirrored, centers were given a risk of 0 without a distance
-computation, and local search learned to stop before the end of a sweep.
-Each of those changes claims to keep every output bit for bit; these hashes
-hold them to it. The inputs are drawn here, not by `munsc.harness.data`,
+computation, and local search learned to stop before the end of a sweep;
+the nearest-center digests of `test_metric`, before the screen of
+`nearest_dists` moved to float32. Each of those changes claims to keep every
+output bit for bit; these hashes hold them to it. The inputs are drawn here, not by `munsc.harness.data`,
 so that a change to the generator cannot move them.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import munsc.solvers as solvers_mod
-from munsc.metric import Dataset, risk
+from munsc.metric import CenterSet, Dataset, farthest_order, nearest_dists, risk, truncated_risk
 from munsc.multiscale import compute_schedule, run_stream
 from munsc.oracle import exact_opt
 from munsc.params import PROFILES
@@ -96,3 +97,50 @@ def test_local_search(seed, dim, max_iters, centers, matrix_limit, monkeypatch):
     monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
     data = Dataset.from_coords(blobs(seed, 700 if dim == 2 else 600, dim, 4)[0])
     assert solve_local_search(range(data.n), 6, data, max_iters=max_iters).ids == centers
+
+
+def tight_clusters(seed: int, n: int, dim: int) -> np.ndarray:
+    """n points in 10 clusters of sd 0.001, with means uniform over +-1000."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1000.0, 1000.0, size=(10, dim))
+    return means[rng.integers(0, 10, size=n)] + rng.normal(scale=0.001, size=(n, dim))
+
+
+# "tight" inputs are the clusters above, the rest are blobs; +1e6 moves a 2-d set far from the origin
+@pytest.mark.parametrize(
+    "seed, n, dim, m, shape, digest",
+    [
+        (8, 3000, 2, 200, "blobs", "5f14a6b097f41c6793037548eb55c7d6029c768afcfec51f0f40fcb5df4b9cf1"),
+        (9, 3000, 2, 200, "far", "e5a934126e8c67806f78c6d0bc9d50494adaf36ad58bf9c13b7f9eff75da58da"),
+        (10, 2000, 9, 150, "blobs", "98262e5b911356eae1b8d0f6f84961e7924d970957190b5f271d5fb7fae59977"),
+        (11, 2000, 64, 300, "blobs", "59de5781d483c37b0cda85405153929cdf01f18d60bb0d533871fb7add6991c4"),
+        (12, 5000, 64, 2500, "blobs", "ec420aeaf1ee5a9490dfcfd5e61853c61eac79a55ac6a3d0a515ffbf92e74328"),
+        (13, 20_000, 2, 5000, "blobs", "b16b16544f03585988e26f3826c941c4efa9a0a3b02ed502b4741dc715e8ad91"),
+        (14, 500, 2, 40, "matrix", "220c26ec96c1e607a8c0d9b5a457e004fc4f5371d5e2e57bef664e86d6e2e546"),
+        (15, 4000, 2, 1000, "tight", "b321faad06920ee46c39f0b966575c026a7267c38b86d342fbf840761be00a88"),
+        (16, 3000, 64, 1000, "tight", "f426d94139d120aecdcdf6a0b74bd6adc2d9ed9f513c9895a39a87ff59fc52c3"),
+    ],
+    ids=["2d", "2d-far", "9d", "64d", "64d-2500-centers", "2d-5000-centers", "matrix", "tight-2d", "tight-64d"],
+)  # fmt: skip
+def test_metric(seed, n, dim, m, shape, digest):
+    assert metric_digest(seed, n, dim, m, shape) == digest
+
+
+def metric_digest(seed: int, n: int, dim: int, m: int, shape: str) -> str:
+    """sha256 over `nearest_dists` (bytes of both arrays), `risk`, `truncated_risk`
+    and `farthest_order` of every point against m random centers."""
+    x = tight_clusters(seed, n, dim) if shape == "tight" else blobs(seed, n, dim, 5)[0]
+    data = Dataset.from_coords(x + 1e6 if shape == "far" else x)
+    if shape == "matrix":
+        data = Dataset.from_matrix(data.pairwise(range(n), range(n)))
+    centers = CenterSet.of(np.random.default_rng(seed).choice(n, size=m, replace=False))
+    ids = np.arange(n, dtype=np.int64)
+    dist, pos = nearest_dists(ids, centers, data)
+    parts = (
+        dist.tobytes(),
+        pos.astype(np.int64).tobytes(),
+        risk(ids, centers, data).hex().encode(),
+        truncated_risk(ids, centers, n // 10, data).hex().encode(),
+        farthest_order(ids, centers, data).astype(np.int64).tobytes(),
+    )
+    return hashlib.sha256(b"|".join(parts)).hexdigest()

@@ -252,6 +252,14 @@ class TestCli:
         assert captured.err == "munsc: error: trials must be positive, got 0\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bench_nonpositive_jobs_is_one_line(self, tmp_path, capsys, jobs):
+        out = tmp_path / "rows.csv"
+        assert cli_main(["bench", "--suite", "ratio", "--trials", "1", "--jobs", jobs, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"munsc: error: jobs must be positive, got {jobs}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_bench_lemmas_suite(self, tmp_path):
         out = tmp_path / "rows.csv"
         assert cli_main([

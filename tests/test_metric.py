@@ -215,18 +215,33 @@ class TestPairwise:
         assert line_dataset.pairwise([0, 1], empty).shape == (2, 0)
 
 
-def assert_kernel_matches_pairwise(ds, ids, centers):
+def assert_kernel_matches_pairwise(ds, ids, centers, monkeypatch):
+    """`nearest_dists` against the full block, through the float32 screen (never
+    redone in float64) and through the float64 screen."""
     block = ds.pairwise(ids, centers.to_array())
-    dist, pos = nearest_dists(ids, centers, ds)
-    assert dist.tobytes() == block.min(axis=1).tobytes()
-    np.testing.assert_array_equal(pos, block.argmin(axis=1))
+    for f32_cols, f32_kept in ((0, math.inf), (math.inf, 0)):
+        monkeypatch.setattr(metric_mod, "_F32_COLS", f32_cols)
+        monkeypatch.setattr(metric_mod, "_F32_KEPT", f32_kept)
+        dist, pos = nearest_dists(ids, centers, ds)
+        assert dist.tobytes() == block.min(axis=1).tobytes()
+        np.testing.assert_array_equal(pos, block.argmin(axis=1))
+
+
+def tight_clusters(dim, per_cluster, centers_per_cluster, seed=5):
+    """10 clusters of sd 0.001 with means uniform over +-1000: the point ids and
+    center ids. Float32 cannot tell a cluster's centers apart; float64 can."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-1000.0, 1000.0, size=(10, dim))
+    x = np.repeat(means, per_cluster, axis=0) + rng.normal(scale=0.001, size=(10 * per_cluster, dim))
+    cids = (np.arange(10)[:, None] * per_cluster + np.arange(centers_per_cluster)[None, :]).ravel()
+    return Dataset.from_coords(x), np.setdiff1d(np.arange(10 * per_cluster), cids), CenterSet.of(cids)
 
 
 class TestNearestDists:
     """The screened kernel against the full distance block, bit for bit."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64, 65])
-    def test_matches_pairwise(self, dim):
+    def test_matches_pairwise(self, dim, monkeypatch):
         rng = np.random.default_rng(dim)
         normal = rng.normal(size=(120, dim))
         lattice = np.round(normal)  # few distinct coordinates: many exact ties
@@ -239,20 +254,104 @@ class TestNearestDists:
                     ds = Dataset.from_coords((pts + offset) * scale)
                     centers = CenterSet.of(rng.choice(120, size=25, replace=False))
                     with np.errstate(over="ignore"):
-                        assert_kernel_matches_pairwise(ds, ids, centers)
+                        assert_kernel_matches_pairwise(ds, ids, centers, monkeypatch)
 
-    def test_matches_pairwise_across_tiles(self):
+    def test_matches_pairwise_across_tiles(self, monkeypatch):
         rng = np.random.default_rng(21)
         ds = Dataset.from_coords(rng.normal(size=(1000, 8)) + 50.0 * rng.integers(0, 3, size=(1000, 1)))
         ids = rng.permutation(1000)[:900]
-        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(1000, size=300, replace=False)))
+        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(1000, size=300, replace=False)), monkeypatch)
 
-    def test_matrix_mode(self):
+    def test_matrix_mode(self, monkeypatch):
         rng = np.random.default_rng(4)
         pts = np.round(rng.normal(size=(60, 2)))
         ids = np.arange(60)
         ds = Dataset.from_matrix(Dataset.from_coords(pts).pairwise(ids, ids))
-        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(60, size=9, replace=False)))
+        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(rng.choice(60, size=9, replace=False)), monkeypatch)
+
+    def test_float32_near_tie(self, monkeypatch):
+        """Two centers whose squared distances to a row differ by 14 ulps (2^-24).
+
+        Row A = (1, 1/16, ..., 1/16) in 64-d, centers C and C' with first
+        coordinates 0.75 and 0.75 + 224 ulps, the rest +-h, h = (1 - 2^-10)
+        2^-25 / (1/16): after the first product -1.5, each of the 63 small
+        products -2 A_t C_t is just under half an ulp, so a sum accumulated in
+        order, as GEMM kernels do, loses them all, toward C' for both centers.
+        The screen then puts C 112 ulps above C', though C is 14 ulps nearer:
+        past a quarter of the slack (76 ulps), inside all of it. The centers
+        come in +- pairs, which keeps the shift at 0 and the scale at 1."""
+        dim = 64
+        row = np.full(dim, 1 / 16)
+        row[0] = 1.0
+        h = (1 - 2.0**-10) * 2.0**-25 * 16
+        near, far = np.full(dim, h), np.full(dim, -h)
+        near[0], far[0] = 0.75, 0.75 + 224 * 2.0**-24
+        others = 0.9 * np.eye(dim)[1:17]
+        centers = np.vstack([near, -near, far, -far, others, -others])
+        # OpenBLAS hands smaller products to a kernel that splits each sum into
+        # lanes; 256 rows by 36 centers take the one that sums in order
+        x = np.vstack([np.tile(row, (256, 1)), centers])
+        assert not x[256:].mean(axis=0).any()
+        ds = Dataset.from_coords(x)
+        ids, cs = np.arange(256), CenterSet.of(range(256, x.shape[0]))
+        assert np.all(ds.pairwise(ids, cs.to_array()).argmin(axis=1) == 0)
+        assert_kernel_matches_pairwise(ds, ids, cs, monkeypatch)
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_float32_falls_back_to_float64(self, dim, monkeypatch):
+        ds, ids, centers = tight_clusters(dim, 220, 20)  # 2,000 rows, 200 centers
+        monkeypatch.setattr(metric_mod, "_F32_COLS", 0)
+        screens, refined = [], []
+
+        def screen(*args):
+            found = screened(*args)
+            screens.append((args[6].dtype, found is None))
+            return found
+
+        def exact(x, rows, cols):
+            refined.append(rows.size)
+            return exact_dists(x, rows, cols)
+
+        screened, exact_dists = metric_mod._screened_nearest, metric_mod._exact_dists
+        monkeypatch.setattr(metric_mod, "_screened_nearest", screen)
+        monkeypatch.setattr(metric_mod, "_exact_dists", exact)
+        dist, pos = nearest_dists(ids, centers, ds)
+        # the first float32 tile keeps a whole cluster, 20 columns a row, and gives way to float64
+        assert screens[:2] == [(np.float32, True), (np.float64, False)]
+        assert all(dtype == np.float64 for dtype, _ in screens[1:])
+        assert sum(refined) <= 2 * ids.size
+        block = ds.pairwise(ids, centers.to_array())
+        assert dist.tobytes() == block.min(axis=1).tobytes()
+        np.testing.assert_array_equal(pos, block.argmin(axis=1))
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_all_centers_identical(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(60, dim)) + 1e3
+        x[40:] = x[40]  # ids 40..59 are one point
+        ds = Dataset.from_coords(x)
+        ids = np.arange(60)
+        assert_kernel_matches_pairwise(ds, ids, CenterSet.of(range(40, 60)), monkeypatch)
+        assert np.all(nearest_dists(ids, CenterSet.of(range(40, 60)), ds)[1] == 0)
+
+    def test_row_overflowing_float32_is_refined_whole(self, monkeypatch):
+        """Centers 1e-9 apart scale by about 2^30, which sends a row 1e30 away
+        past the float32 range: that row is refined over every column."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(scale=1e-9, size=(80, 3))
+        x[0] = 1e30
+        ds = Dataset.from_coords(x)
+        ids, centers = np.arange(60), CenterSet.of(range(60, 80))
+        refined = []
+
+        def exact(x, rows, cols):
+            refined.append(rows)
+            return exact_dists(x, rows, cols)
+
+        exact_dists = metric_mod._exact_dists
+        monkeypatch.setattr(metric_mod, "_exact_dists", exact)
+        assert_kernel_matches_pairwise(ds, ids, centers, monkeypatch)
+        assert np.count_nonzero(refined[0] == 0) == 20  # the float32 screen's call
 
     def test_empty_ids(self, line_dataset):
         dist, pos = nearest_dists(np.empty(0, dtype=np.int64), CenterSet.of([1]), line_dataset)

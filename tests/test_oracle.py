@@ -12,6 +12,7 @@ from munsc import (
     Dataset,
     PROFILES,
     exact_opt,
+    min_nondegenerate_n,
     psi_sandwich_frequency,
     risk,
     sandwich_report,
@@ -103,3 +104,11 @@ class TestPsiSandwich:
         upper, lower = psi_sandwich_frequency(ds, 2, 0.2, 0.05, trials=20, seed=5, profile=DESK)
         assert upper >= 0.9
         assert lower >= 0.9
+
+
+def test_sandwich_report_min_nondegenerate_n():
+    m = min_nondegenerate_n(2, 0.2, 0.025, DESK)
+    for n in (m - 1, m, 2 * m):
+        rep = sandwich_report(n, 2, 0.2, 0.025, DESK)
+        assert rep["min_nondegenerate_n"] == m
+        assert rep["psi_degenerate"] == (n < m)

@@ -9,7 +9,9 @@ from munsc import (
     PROFILES,
     Profile,
     alpha_schedule,
+    compute_schedule,
     k_plus_size,
+    min_nondegenerate_n,
     phi_alpha,
     quota_default,
     ratio_ceiling,
@@ -105,3 +107,14 @@ def test_parameter_range_validation():
         phi_alpha(2, 1.5, 0.1, PAPER)
     with pytest.raises(ContractError):
         phi_alpha(2, 0.1, 0.0, PAPER)
+
+
+# the figures of the roadmap's center-count item: desk profile, delta = 0.2, the first copy's scale
+@pytest.mark.parametrize("k, expected", [(2, 8241), (4, 31361), (8, 126081)])
+def test_min_nondegenerate_n(k, expected):
+    sched = alpha_schedule(k, 0.2)
+    n = min_nondegenerate_n(k, sched.delta_prime, sched.alpha_1, DESK)
+    assert n == expected
+    assert all(c.p1_end > c.psi_drop for c in compute_schedule(k, 0.2, n, DESK).copies)
+    first = compute_schedule(k, 0.2, n - 1, DESK).copies[0]
+    assert first.p1_end == first.psi_drop
