@@ -22,12 +22,13 @@ where no layout exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, InfeasibleBinDivisionError, PremiseError
-from .metric import CenterSet, Dataset, as_id_array, farthest_order, nearest_dists, risk
+from .metric import CenterSet, Dataset, _point_ids, farthest_order, nearest_dists, risk
 
 __all__ = [
     "BinDivision",
@@ -82,15 +83,6 @@ def _min_profile(z: int, length: int) -> list[int] | None:
     return req
 
 
-def _max_total(z: int, length: int) -> int:
-    s = (5 * z) // 2
-    total = s
-    for _ in range(1, length):
-        s = (3 * s) // 2
-        total += s
-    return total
-
-
 def _fill_to_total(sizes: list[int], z: int, total: int) -> list[int]:
     """Grow a feasible size profile one unit at a time until it sums to total.
 
@@ -138,41 +130,33 @@ def _integer_sizes(z: int, w: int) -> list[int]:
     Tries the floored real-valued target sizes first; when those break a
     constraint (common for odd z, where the growth ratio is tight), falls
     back to the minimal feasible profile padded toward the back. Scans bin
-    counts nearest the real-valued one first, preferring fewer bins on ties.
+    counts nearest the real-valued one first, preferring fewer bins on ties,
+    and skips a count whose profile saturates below w.
     """
     target_len, sizes = _target_rounding(z, w)
-    if _sizes_ok(z, sizes):
+    if all(_size_rules(z, sizes).values()):
         return sizes
 
-    max_len = 1
-    while True:
-        prof = _min_profile(z, max_len + 1)
-        if prof is None or sum(prof) > w:
-            break
-        max_len += 1
-    order = sorted(range(1, max_len + 1), key=lambda L: (abs(L - target_len), L))
-    for length in order:
-        prof = _min_profile(z, length)
-        if prof is None or sum(prof) > w or _max_total(z, length) < w:
+    profiles = []  # profiles[L - 1]: the minimal profile of L bins, for every L that fits in w
+    while (prof := _min_profile(z, len(profiles) + 1)) is not None and sum(prof) <= w:
+        profiles.append(prof)
+    for length in sorted(range(1, len(profiles) + 1), key=lambda L: (abs(L - target_len), L)):
+        try:
+            return _fill_to_total(profiles[length - 1], z, w)
+        except InfeasibleBinDivisionError:
             continue
-        return _fill_to_total(prof, z, w)
     raise InfeasibleBinDivisionError(
         f"no integer bin layout exists for |W|={w}, z={z}"
     )
 
 
-def _sizes_ok(z: int, sizes: Sequence[int]) -> bool:
-    if any(s <= 0 for s in sizes):
-        return False
-    for i, s in enumerate(sizes, start=1):
-        if 2 * s < z * (i + 1):
-            return False
-    if 2 * sizes[0] > 5 * z:
-        return False
-    for a, b in zip(sizes, sizes[1:]):
-        if 2 * b > 3 * a:
-            return False
-    return True
+def _size_rules(z: int, sizes: Sequence[int], trivial: bool = False) -> dict[str, bool]:
+    """Constraints 1-3 on bin sizes; a trivial division is exempt from 1 and 2."""
+    return {
+        "linear_growth": trivial or all(2 * s >= z * (i + 1) for i, s in enumerate(sizes, start=1)),
+        "first_bin_cap": trivial or 2 * sizes[0] <= 5 * z,
+        "adjacent_ratio": all(2 * b <= 3 * a for a, b in zip(sizes, sizes[1:])),
+    }
 
 
 def build_division(points: Iterable[int], reference: CenterSet, z: int, data: Dataset) -> BinDivision:
@@ -182,7 +166,7 @@ def build_division(points: Iterable[int], reference: CenterSet, z: int, data: Da
     smaller ids) and cut into bins. |W| < z yields the trivial single-bin
     division. The output is re-validated against all four constraints.
     """
-    ids = as_id_array(points)
+    ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
         raise ContractError("W must be nonempty")
     if len(reference) == 0:
@@ -192,18 +176,12 @@ def build_division(points: Iterable[int], reference: CenterSet, z: int, data: Da
     z = int(z)
 
     if ids.size < z:
-        div = BinDivision(bins=(tuple(int(i) for i in ids),), z=z, reference=reference, trivial=True)
-        return div
+        return BinDivision(bins=(tuple(ids.tolist()),), z=z, reference=reference, trivial=True)
 
     sizes = _integer_sizes(z, int(ids.size))
-    ordered = farthest_order(ids, reference, data)
-    bins: list[tuple[int, ...]] = []
-    pos = 0
-    for s in sizes:
-        bins.append(tuple(int(i) for i in ordered[pos : pos + s]))
-        pos += s
-    assert pos == ids.size
-    div = BinDivision(bins=tuple(bins), z=z, reference=reference, trivial=False)
+    ordered = farthest_order(ids, reference, data).tolist()
+    bins = tuple(tuple(ordered[end - s : end]) for s, end in zip(sizes, accumulate(sizes)))
+    div = BinDivision(bins=bins, z=z, reference=reference, trivial=False)
     bad = [name for name, ok in division_properties(div, data).items() if not ok]
     if bad:
         raise InfeasibleBinDivisionError(f"constructed division violates {bad}")
@@ -216,21 +194,11 @@ def division_properties(div: BinDivision, data: Dataset) -> dict[str, bool]:
     Trivial divisions are exempt from the size lower bound; the remaining
     checks still apply (and hold vacuously for a single bin).
     """
-    sizes = div.sizes()
-    length = len(sizes)
-    props: dict[str, bool] = {}
-    if div.trivial:
-        props["linear_growth"] = True
-    else:
-        props["linear_growth"] = all(2 * s >= div.z * (i + 1) for i, s in enumerate(sizes, start=1))
-    props["first_bin_cap"] = div.trivial or 2 * sizes[0] <= 5 * div.z
-    props["adjacent_ratio"] = all(2 * b <= 3 * a for a, b in zip(sizes, sizes[1:]))
-
+    props = _size_rules(div.z, div.sizes(), div.trivial)
     ok = True
     prev_min = np.inf
     for b in div.bins:
-        arr = as_id_array(b)
-        d = nearest_dists(arr, div.reference, data)[0]
+        d = nearest_dists(b, div.reference, data)[0]
         if d.size and float(d.max()) > prev_min:
             ok = False
             break
@@ -248,9 +216,7 @@ def check_well_represented(b_set: Iterable[int], a_set: Iterable[int], w_set: It
     Pure counting with integer cross-multiplication, so interval endpoints
     are decided exactly.
     """
-    b = set(int(i) for i in b_set)
-    a = set(int(i) for i in a_set)
-    w = set(int(i) for i in w_set)
+    b, a, w = (set(_point_ids(s).tolist()) for s in (b_set, a_set, w_set))
     if not b:
         raise ContractError("B must be nonempty")
     if not b <= w or not a <= w:
@@ -271,7 +237,7 @@ def tail_risk_bound_holds(div: BinDivision, a_set: Iterable[int], r: float, data
     """
     if not (0.0 < r < 1.0):
         raise ContractError("r must lie in (0,1)")
-    a = set(int(i) for i in a_set)
+    a = set(_point_ids(a_set, data.n).tolist())
     members = div.members
     if not a <= members:
         raise ContractError("A must be a subset of the divided set")

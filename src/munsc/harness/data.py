@@ -65,9 +65,12 @@ def generate_gaussian_mixture(
     """Isotropic unit-variance blobs plus uniform outliers, deterministic per seed.
 
     Blob means sit pairwise at least `separation` apart (so separation is in
-    units of the blob standard deviation). Blob draws are truncated at six
-    standard deviations; outliers are uniform in an enlarged bounding box of
-    the means.
+    units of the blob standard deviation). Blob draws are conditioned on a
+    norm of at most six standard deviations; outliers are uniform in an
+    enlarged bounding box of the means. The cut bites in high dimension: an
+    untruncated 64-d draw has norm about 8, so 64-d blobs are thin shells
+    just inside the cut, of mean norm about 5.8 (5-95% range 5.5 to 6.0),
+    and rejection keeps fewer than 1 draw in 500.
     """
     if n < 1 or k_true < 1 or dim < 1:
         raise ContractError("n, k_true and dim must be positive")

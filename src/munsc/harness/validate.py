@@ -165,7 +165,7 @@ def check_metric_oracles(instances: int = 500, seed: int = 20_240) -> CheckResul
         t_size = int(rng.integers(1, min(5, n) + 1))
         centers = CenterSet.of(rng.choice(n, size=t_size, replace=False))
         s_size = int(rng.integers(1, n + 1))
-        points = set(int(i) for i in rng.choice(n, size=s_size, replace=False))
+        points = set(rng.choice(n, size=s_size, replace=False).tolist())
         for r in {0, 1, s_size // 2, s_size, s_size + 3}:
             comparisons += 3
             if risk(points, centers, data) != naive_risk(points, centers, data):
@@ -213,7 +213,7 @@ def check_bin_properties(cases: int = 1000, seed: int = 31_337) -> CheckResult:
                 off_diagonal_infeasible += 1
             continue
         props = division_properties(div, data)
-        ok = all(props.values()) and div.members == set(int(i) for i in w)
+        ok = all(props.values()) and div.members == set(w.tolist())
         ok = ok and div.trivial == (w_size < z)
         if not ok:
             failures += 1
@@ -254,7 +254,7 @@ def check_tail_bound(cases: int = 500, seed: int = 90_210) -> CheckResult:
             cap = int(r * len(b))  # truncation keeps |bin n A| <= r|bin|
             take = int(rng.integers(0, cap + 1))
             if take:
-                a.extend(int(i) for i in rng.choice(sorted(b), size=take, replace=False))
+                a.extend(rng.choice(sorted(b), size=take, replace=False).tolist())
         if not tail_risk_bound_holds(div, a, r, data):
             failures += 1
         done += 1

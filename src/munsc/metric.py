@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -76,14 +76,40 @@ def row_blocks(count: int, row_cells: int, whole: bool = False, max_rows: int | 
         yield slice(lo, min(lo + step, count))
 
 
-def as_id_array(ids: Iterable[int]) -> np.ndarray:
-    """Normalize an id collection to a sorted, deduplicated int64 array."""
-    arr = np.sort(np.fromiter(ids, dtype=np.int64))
-    if arr.size:
+def _point_ids(ids: Iterable[int], n: int | None = None, unique: bool = False) -> np.ndarray:
+    """The package's one rule for point ids: any accepted input as a 1-d int64 array.
+
+    Takes an integer array (int64 without a copy), a `range`, or a list,
+    tuple, set or other iterable of ints. Raises ContractError for a float id,
+    even a whole one like 2.0 (a float column of ids is the wrong column, and
+    a cast would hide that), for a bool, for a negative id and, given the
+    dataset size `n`, for an id >= n. With `unique`, the ids are sorted and
+    deduplicated, as every function that takes a point set reads them.
+    """
+    if isinstance(ids, range):
+        arr = np.arange(ids.start, ids.stop, ids.step)
+    elif isinstance(ids, np.ndarray):
+        arr = ids
+    else:
+        seq = ids if isinstance(ids, (list, tuple)) else list(ids)
+        kinds = set(map(type, seq))
+        if bool in kinds or np.bool_ in kinds:
+            raise ContractError("point ids must be integers, not bools")
+        arr = np.asarray(seq) if seq else np.empty(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ContractError(f"point ids must be a flat collection of integers, not {arr.dtype} of shape {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)  # a uint64 id past the int64 range turns negative here
+    if arr.size == 0:
+        return arr
+    if unique:
+        arr = np.sort(arr)
         # what np.unique returns, without its hash table: 3x faster at 20k ids on numpy 2.4
         arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
-        if arr[0] < 0:
-            raise ContractError("point ids must be nonnegative")
+    lo, hi = (arr[0], arr[-1]) if unique else (arr.min(), arr.max())
+    if lo < 0:
+        raise ContractError("point ids must be nonnegative")
+    if n is not None and hi >= n:
+        raise ContractError(f"point id {hi} out of range for a dataset of {n} points")
     return arr
 
 
@@ -92,16 +118,18 @@ class CenterSet:
     """Deduplicated, sorted collection of point ids acting as a clustering."""
 
     ids: tuple[int, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, ids: Iterable[int]) -> "CenterSet":
-        return cls(tuple(int(i) for i in as_id_array(ids)))
+        return cls(tuple(_point_ids(ids, unique=True).tolist()))
 
     def __post_init__(self) -> None:
-        if list(self.ids) != sorted(set(self.ids)):
+        arr = _point_ids(self.ids)
+        if (arr[1:] <= arr[:-1]).any():
             raise ContractError("CenterSet ids must be sorted and deduplicated")
-        if self.ids and self.ids[0] < 0:
-            raise ContractError("point ids must be nonnegative")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -114,7 +142,8 @@ class CenterSet:
         return i < len(self.ids) and self.ids[i] == item
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.ids, dtype=np.int64)
+        """The ids as a read-only int64 array."""
+        return self._array
 
 
 class Dataset:
@@ -202,14 +231,9 @@ class Dataset:
     def matrix(self) -> np.ndarray | None:
         return self._matrix
 
-    def _check_ids(self, ids: np.ndarray) -> None:
-        if ids.size and (ids.min() < 0 or ids.max() >= self._n):
-            raise ContractError("point id out of range for dataset")
-
     def dist(self, i: int, j: int) -> float:
         """Distance between two points."""
-        ids = np.asarray([i, j], dtype=np.int64)
-        self._check_ids(ids)
+        i, j = _point_ids((i, j), self._n)
         if self._matrix is not None:
             return float(self._matrix[i, j])
         diff = self._coords[i] - self._coords[j]
@@ -220,9 +244,8 @@ class Dataset:
 
         No code in the package calls it; `perfbench` traces it by name.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        self._check_ids(ids)
-        self._check_ids(np.asarray([x], dtype=np.int64))
+        ids = _point_ids(ids, self._n)
+        (x,) = _point_ids((x,), self._n)
         if self._matrix is not None:
             return self._matrix[x, ids]
         diff = self._coords[ids] - self._coords[x]
@@ -230,10 +253,8 @@ class Dataset:
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distance block with shape (len(rows), len(cols))."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        self._check_ids(rows)
-        self._check_ids(cols)
+        rows = _point_ids(rows, self._n)
+        cols = _point_ids(cols, self._n)
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
         return _pairwise_coords(self._coords, rows, cols)
@@ -311,11 +332,10 @@ def _sum_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _centers_array(centers: CenterSet, data: Dataset) -> np.ndarray:
+    """The ids of a nonempty center set, checked against `data`."""
     if len(centers) == 0:
         raise ContractError("center set must be nonempty")
-    arr = centers.to_array()
-    data._check_ids(arr)
-    return arr
+    return _point_ids(centers.to_array(), data.n)
 
 
 def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -329,8 +349,11 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
     too many columns; then that tile and the rest of the call run in float64.
     """
     carr = _centers_array(centers, data)
-    ids = np.asarray(ids, dtype=np.int64)
-    data._check_ids(ids)
+    return _nearest(_point_ids(ids, data.n), carr, data)
+
+
+def _nearest(ids: np.ndarray, carr: np.ndarray, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """`nearest_dists` for ids and center ids that the caller has checked."""
     dist = np.empty(ids.size, dtype=np.float64)
     pos = np.empty(ids.size, dtype=np.int64)
     tiles = row_blocks(ids.size, carr.size, whole=True, max_rows=_SCREEN_ROWS)
@@ -477,20 +500,34 @@ def _screened_nearest(
     return dist, pos
 
 
-def _nearest_or_zero(ids: np.ndarray, centers: CenterSet, data: Dataset) -> np.ndarray:
-    """`nearest_dists(ids, centers, data)[0]`, with 0 for each id in `centers`.
+def _nearest_or_zero(ids: np.ndarray, carr: np.ndarray, data: Dataset) -> np.ndarray:
+    """`_nearest(ids, carr, data)[0]`, with 0 for each id in `carr`.
 
     A center is at distance exactly 0 from itself, so only the other ids are
-    sent to `nearest_dists`. The array keeps the order of `ids`, so a sum or
-    sort over it is the same as over `nearest_dists`'s.
+    sent to `_nearest`. The array keeps the order of `ids`, so a sum or sort
+    over it is the same as over `nearest_dists`'s.
     """
-    carr = _centers_array(centers, data)
     dist = np.zeros(ids.size, dtype=np.float64)
     at = np.minimum(np.searchsorted(carr, ids), carr.size - 1)
     rest = carr[at] != ids
     if rest.any():
-        dist[rest] = nearest_dists(ids[rest], centers, data)[0]
+        dist[rest] = _nearest(ids[rest], carr, data)[0]
     return dist
+
+
+def _far_first(points: Iterable[int], centers: CenterSet, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted point ids, their nearest-center distances, and the positions
+    that list them by distance, descending, ties by ascending id."""
+    ids = _point_ids(points, data.n, unique=True)
+    d = _nearest_or_zero(ids, _centers_array(centers, data), data)
+    return ids, d, np.lexsort((ids, -d))
+
+
+def _drop_count(r: int) -> int:
+    """The r of `far_r` and `truncated_risk`, checked: a count of points to drop."""
+    if r < 0 or isinstance(r, bool) or int(r) != r:
+        raise ContractError("r must be a nonnegative integer")
+    return int(r)
 
 
 def risk(points: Iterable[int], centers: CenterSet, data: Dataset) -> float:
@@ -499,15 +536,13 @@ def risk(points: Iterable[int], centers: CenterSet, data: Dataset) -> float:
     Points are summed in ascending id order, so equal inputs give bitwise
     equal results.
     """
-    ids = as_id_array(points)
-    return float(np.sum(_nearest_or_zero(ids, centers, data)))
+    ids = _point_ids(points, data.n, unique=True)
+    return float(np.sum(_nearest_or_zero(ids, _centers_array(centers, data), data)))
 
 
 def farthest_order(points: Iterable[int], centers: CenterSet, data: Dataset) -> np.ndarray:
     """Ids sorted by distance to the centers, descending; ties by ascending id."""
-    ids = as_id_array(points)
-    d = _nearest_or_zero(ids, centers, data)
-    order = np.lexsort((ids, -d))
+    ids, _, order = _far_first(points, centers, data)
     return ids[order]
 
 
@@ -517,23 +552,15 @@ def far_r(points: Iterable[int], centers: CenterSet, r: int, data: Dataset) -> s
     Distance ties are resolved toward smaller ids, so the far set is a
     deterministic function of its inputs.
     """
-    if r < 0 or isinstance(r, bool) or int(r) != r:
-        raise ContractError("r must be a nonnegative integer")
-    ordered = farthest_order(points, centers, data)
-    take = min(int(r), ordered.size)
-    return set(int(i) for i in ordered[:take])
+    r = _drop_count(r)
+    ids, _, order = _far_first(points, centers, data)
+    return set(ids[order[:r]].tolist())
 
 
 def truncated_risk(points: Iterable[int], centers: CenterSet, r: int, data: Dataset) -> float:
     """Risk after discounting the r points that incur the most risk."""
-    if r < 0 or isinstance(r, bool) or int(r) != r:
-        raise ContractError("r must be a nonnegative integer")
-    ids = as_id_array(points)
-    _centers_array(centers, data)
-    if ids.size == 0 or r >= ids.size:
-        return 0.0
-    d = _nearest_or_zero(ids, centers, data)
-    order = np.lexsort((ids, -d))
+    r = _drop_count(r)
+    ids, d, order = _far_first(points, centers, data)
     keep = np.ones(ids.size, dtype=bool)
-    keep[order[: int(r)]] = False
+    keep[order[:r]] = False
     return float(np.sum(d[keep]))

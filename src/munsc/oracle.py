@@ -4,7 +4,7 @@ risk-estimate bounds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, floor
+from math import floor
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .errors import ContractError
 from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
 from .params import PROFILES, Profile, min_nondegenerate_n
 from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
-from .solvers import EXHAUSTIVE_BUDGET, local_search_solver, solve_exhaustive
+from .solvers import _within_budget as exact_opt_budget_ok, local_search_solver, solve_exhaustive
 from .stream import InstrumentedStream
 
 __all__ = [
@@ -33,17 +33,13 @@ class OptimalSolution:
     assignment: tuple[int, ...]  # nearest optimal center id per point
 
 
-def exact_opt_budget_ok(n: int, k: int) -> bool:
-    return comb(n, min(k, n)) <= EXHAUSTIVE_BUDGET
-
-
 def exact_opt(data: Dataset, k: int) -> OptimalSolution:
     """Exhaustive optimum over centers drawn from the dataset itself.
 
     Deterministic (lexicographically smallest optimal center set); assignment
     ties resolve to the smallest center id.
     """
-    ids = np.arange(data.n, dtype=np.int64)
+    ids = np.arange(data.n)
     centers = solve_exhaustive(ids, k, data)
     dist, pos = nearest_dists(ids, centers, data)
     assignment = tuple(int(c) for c in centers.to_array()[pos])
@@ -106,7 +102,7 @@ def psi_sandwich_frequency(
     solver = local_search_solver()
     cfg = make_config(k, data.n, delta, alpha, profile)
     r_upper, r_lower = _lemma_truncations(cfg)
-    all_ids = np.arange(data.n, dtype=np.int64)
+    all_ids = np.arange(data.n)
 
     rng = np.random.default_rng(seed)
     upper_ok = 0

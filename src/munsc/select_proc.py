@@ -171,10 +171,7 @@ class SelectProcState:
 
     def _finish_phase1(self, data: Dataset, solver: Solver) -> None:
         assert self.buffer_p1 is not None
-        kp = self.config.k_plus
-        self.t_alpha = solver.solve(self.buffer_p1, kp, data)
-        if len(self.t_alpha) > kp:
-            raise ContractError("solver returned more centers than requested")
+        self.t_alpha = solver.solve(self.buffer_p1, self.config.k_plus, data)
         self.buffer_p1 = None  # buffered prefix is no longer needed
         self._center_ids = self.t_alpha.to_array()
         if data.mode == "euclidean":

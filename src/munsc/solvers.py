@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError
-from .metric import CenterSet, Dataset, as_id_array, row_blocks
+from .metric import CenterSet, Dataset, _point_ids, row_blocks
 
 __all__ = [
     "Solver",
@@ -48,17 +48,23 @@ class Solver:
     _fn: Callable[[np.ndarray, int, Dataset], CenterSet] = field(repr=False)
 
     def solve(self, points: Iterable[int], k: int, data: Dataset) -> CenterSet:
-        ids = as_id_array(points)
+        ids = _point_ids(points, data.n, unique=True)
         if ids.size == 0:
             raise ContractError("solver input must be nonempty")
         if k < 1:
             raise ContractError("k must be positive")
         out = self._fn(ids, k, data)
-        if not set(out.ids) <= set(int(i) for i in ids):
+        if not set(out.ids) <= set(ids.tolist()):
             raise ContractError("solver returned centers outside its input set")
-        if k < ids.size and len(out) > k:
+        if len(out) > k:
             raise ContractError("solver returned more centers than requested")
         return out
+
+
+def _within_budget(m: int, k: int) -> bool:
+    """Whether `solve_exhaustive` may take m points and k: C(m, min(k, m)) subsets
+    at most `EXHAUSTIVE_BUDGET`."""
+    return comb(m, min(k, m)) <= EXHAUSTIVE_BUDGET
 
 
 def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
@@ -71,19 +77,19 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
     proves worse (`_best_pair`). Raises BudgetExceededError when C(|S|, k)
     exceeds the enumeration budget.
     """
-    ids = as_id_array(points)
+    ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
         raise ContractError("input set must be nonempty")
     if k < 1:
         raise ContractError("k must be positive")
     m = ids.size
-    if k >= m:
-        return CenterSet.of(ids)
-    if comb(m, k) > EXHAUSTIVE_BUDGET:
+    if not _within_budget(m, k):
         raise BudgetExceededError(
             f"C({m},{k}) = {comb(m, k)} exceeds the budget of {EXHAUSTIVE_BUDGET}; "
             "use the local-search solver"
         )
+    if k >= m:
+        return CenterSet.of(ids)
 
     if k == 1:
         # Row sums of row blocks, without materializing the full matrix.
@@ -95,13 +101,13 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
             if sums[pos] < best_risk:
                 best_risk = float(sums[pos])
                 best_pos = blk.start + pos
-        return CenterSet.of([int(ids[best_pos])])
+        return CenterSet.of(ids[best_pos : best_pos + 1])
 
     # rows[c] holds every point's distance to candidate c, contiguously: the
     # block is exactly symmetric, so row c has the bits of column c
     rows = data.pairwise(ids, ids)
     best = _best_pair(rows) if k == 2 else _best_completion(rows, None, 0, k)[1]
-    return CenterSet.of(int(ids[p]) for p in best)
+    return CenterSet.of(ids[list(best)])
 
 
 def _min_sums(table: np.ndarray, a: np.ndarray, b: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -344,7 +350,7 @@ def solve_local_search(
     sweeps, the last of them possibly cut short; beta = 5 holds only for a
     solve that stops on that rule, at a single-swap local optimum.
     """
-    ids = as_id_array(points)
+    ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
         raise ContractError("input set must be nonempty")
     if k < 1:
@@ -373,7 +379,7 @@ def solve_local_search(
         for blk in row_blocks(m, m):
             if sweep * m + blk.start > last + m:
                 # every position has been scored against the current centers
-                return CenterSet.of(int(ids[p]) for p in centers)
+                return CenterSet.of(ids[centers])
             tile = rows_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
@@ -390,7 +396,7 @@ def solve_local_search(
                 cur = float(state[0].sum())
                 last = sweep * m + blk.start + i
                 i += 1
-    return CenterSet.of(int(ids[p]) for p in centers)
+    return CenterSet.of(ids[centers])
 
 
 def exhaustive_solver() -> Solver:

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, StreamProtocolError
+from .metric import _point_ids
 
 __all__ = ["InstrumentedStream"]
 
@@ -21,7 +22,7 @@ class InstrumentedStream:
     """A permutation of [0, n) readable strictly one decision at a time."""
 
     def __init__(self, order: Sequence[int]):
-        perm = np.asarray(order, dtype=np.int64)
+        perm = _point_ids(order)
         n = perm.size
         if n < 1:
             raise ContractError("stream must be nonempty")

@@ -4,9 +4,11 @@ The selections, optima and risks below were recorded before square blocks
 were mirrored, centers were given a risk of 0 without a distance
 computation, and local search learned to stop before the end of a sweep;
 the nearest-center digests of `test_metric`, before the screen of
-`nearest_dists` moved to float32. Each of those changes claims to keep every
-output bit for bit; these hashes hold them to it. The inputs are drawn here, not by `munsc.harness.data`,
-so that a change to the generator cannot move them.
+`nearest_dists` moved to float32; the bin sizes, before `bins` stopped
+precomputing the largest total of each bin count. Each of those changes
+claims to keep every output bit for bit; these hashes hold them to it. The
+inputs are drawn here, not by `munsc.harness.data`, so that a change to the
+generator cannot move them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 import pytest
 
 import munsc.solvers as solvers_mod
+from munsc.bins import _integer_sizes
+from munsc.errors import InfeasibleBinDivisionError
 from munsc.metric import CenterSet, Dataset, farthest_order, nearest_dists, risk, truncated_risk
 from munsc.multiscale import compute_schedule, run_stream
 from munsc.oracle import exact_opt
@@ -144,3 +148,16 @@ def metric_digest(seed: int, n: int, dim: int, m: int, shape: str) -> str:
         farthest_order(ids, centers, data).astype(np.int64).tobytes(),
     )
     return hashlib.sha256(b"|".join(parts)).hexdigest()
+
+
+def test_integer_sizes():
+    """sha256 over the bin sizes of every (z, w) with z <= 40 and w <= 600, None where none exist."""
+    h = hashlib.sha256()
+    for z in range(1, 41):
+        for w in range(1, 601):
+            try:
+                sizes = _integer_sizes(z, w)
+            except InfeasibleBinDivisionError:
+                sizes = None
+            h.update(repr((z, w, sizes)).encode())
+    assert h.hexdigest() == "8ebaaa445654e301ac340390d7e49ce4e85d078e441a1c52b4f92f37dc81991c"

@@ -130,6 +130,17 @@ class TestInstrumentedStream:
         with pytest.raises(Exception):
             InstrumentedStream([0, 0, 2])
 
+    @pytest.mark.parametrize(
+        "order",
+        [[0.2, 1.9, 2.5], [0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0]), [True, False], [1, True, 2], [0, -1, 1],
+         [0, 1, 3]],
+        ids=["fractions", "whole-floats", "float-array", "bools", "int-and-bool", "negative", "out-of-range"],
+    )
+    def test_rejects_non_id_orders(self, order):
+        """The order must be point ids: no float, even a whole one, and no bool is cast to one."""
+        with pytest.raises(ContractError):
+            InstrumentedStream(order)
+
 
 class TestRunExperiment:
     def test_tiny_report_fields(self):

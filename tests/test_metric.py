@@ -7,9 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from munsc import CenterSet, ContractError, Dataset, far_r, risk, truncated_risk
+from munsc import (
+    CenterSet,
+    ContractError,
+    Dataset,
+    build_division,
+    check_well_represented,
+    far_r,
+    get_solver,
+    risk,
+    solve_exhaustive,
+    solve_local_search,
+    tail_risk_bound_holds,
+    truncated_risk,
+)
 import munsc.metric as metric_mod
-from munsc.metric import as_id_array, nearest_dists, row_blocks
+from munsc.metric import farthest_order, nearest_dists, row_blocks
 
 
 def linear_scan_nearest(data, x, centers):
@@ -471,7 +484,7 @@ class TestCenterShortcut:
 
     @staticmethod
     def scanned(points, centers, data):
-        ids = as_id_array(points)
+        ids = metric_mod._point_ids(points, unique=True)
         d = nearest_dists(ids, centers, data)[0]
         return ids, d, ids[np.lexsort((ids, -d))]
 
@@ -515,13 +528,137 @@ class TestCenterShortcut:
         self.assert_as_scanned([0, 1], CenterSet.of([0, 1]), data)
 
 
-def test_as_id_array_inputs():
-    expected = [1, 3, 5]
-    for ids in ([5, 1, 3, 5], {3, 1, 5}, (i for i in (3, 5, 1)), range(1, 6, 2), np.array([5, 3, 1, 1])):
-        assert as_id_array(ids).tolist() == expected
-    assert as_id_array([]).tolist() == []
+ID_N = 12  # points in `id_data`, so an id of ID_N is out of range
+
+
+def id_data():
+    return Dataset.from_coords(np.random.default_rng(41).normal(size=(ID_N, 2)))
+
+
+# Every public entry that takes point ids, as a call that puts the id x among
+# valid ones. Entries marked False have no dataset to hold an id of ID_N against.
+ID_ENTRIES = {
+    "CenterSet.of": (False, lambda d, x: CenterSet.of([0, x])),
+    "CenterSet": (False, lambda d, x: CenterSet((x,))),
+    "Dataset.dist": (True, lambda d, x: d.dist(0, x)),
+    "Dataset.dist first": (True, lambda d, x: d.dist(x, 0)),
+    "Dataset.pairwise rows": (True, lambda d, x: d.pairwise([0, x], [1])),
+    "Dataset.pairwise cols": (True, lambda d, x: d.pairwise([1], [0, x])),
+    "Dataset.point_to_ids": (True, lambda d, x: d.point_to_ids(0, [1, x])),
+    "Dataset.point_to_ids point": (True, lambda d, x: d.point_to_ids(x, [1])),
+    "nearest_dists": (True, lambda d, x: nearest_dists([0, x], CenterSet.of([1]), d)),
+    "risk": (True, lambda d, x: risk([0, x], CenterSet.of([1]), d)),
+    "risk centers": (True, lambda d, x: risk(range(ID_N), CenterSet.of([1, x]), d)),
+    "farthest_order": (True, lambda d, x: farthest_order([0, x], CenterSet.of([1]), d)),
+    "far_r": (True, lambda d, x: far_r([0, x], CenterSet.of([1]), 1, d)),
+    "truncated_risk": (True, lambda d, x: truncated_risk([0, 4, x], CenterSet.of([1]), 1, d)),
+    "Solver.solve": (True, lambda d, x: get_solver("exhaustive").solve([0, 4, x], 1, d)),
+    "solve_exhaustive": (True, lambda d, x: solve_exhaustive([0, 4, x], 1, d)),
+    "solve_exhaustive k >= m": (True, lambda d, x: solve_exhaustive([0, 4, x], 3, d)),
+    "solve_local_search": (True, lambda d, x: solve_local_search([0, 4, x], 1, d)),
+    "build_division": (True, lambda d, x: build_division([0, 4, 7, x], CenterSet.of([1]), 2, d)),
+    "check_well_represented": (False, lambda d, x: check_well_represented([0], [0], [0, x])),
+    "tail_risk_bound_holds": (
+        True,
+        lambda d, x: tail_risk_bound_holds(build_division(range(ID_N), CenterSet.of([1]), 2, d), [x], 0.5, d),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        pytest.param(entry, bad, id=f"{entry}-{name}")
+        for entry, (has_data, _) in ID_ENTRIES.items()
+        for name, bad in {"1.5": 1.5, "2.0": 2.0, "True": True, "-1": -1, "n": ID_N}.items()
+        if has_data or name != "n"
+    ],
+)
+def test_every_entry_rejects_bad_ids(entry, bad):
+    """A float id (whole or not), a bool, a negative id and an id past the
+    dataset all raise ContractError: never an IndexError, never a result."""
     with pytest.raises(ContractError):
-        as_id_array([3, -1])
+        ID_ENTRIES[entry][1](id_data(), bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0, 1.5]), np.array([0.0, 2.0]), np.array([True, False]), [[0, 1]]],
+    ids=["fractions", "whole-floats", "bools", "nested"],
+)
+def test_array_ids_rejected(bad):
+    data = id_data()
+    with pytest.raises(ContractError):
+        data.pairwise(bad, [0])
+    with pytest.raises(ContractError):
+        risk(bad, CenterSet.of([1]), data)
+    with pytest.raises(ContractError):
+        CenterSet.of(bad)
+
+
+def test_as_id_array_inputs():
+    """Every accepted form of the ids {1, 3, 5} gives the same result through each entry."""
+    data = id_data()
+    centers = CenterSet.of([2, 5])
+    forms = [
+        lambda: [5, 1, 3, 5],
+        lambda: (np.int64(5), np.int32(1), 3),
+        lambda: {3, 1, 5},
+        lambda: (i for i in (3, 5, 1)),
+        lambda: range(1, 6, 2),
+        lambda: np.array([5, 3, 1, 1]),
+        lambda: np.array([5, 3, 1], dtype=np.uint8),
+        lambda: np.array([3, 1, 5], dtype=np.int32),
+    ]
+
+    def as_set(form):  # each entry gets a fresh input, since a generator reads once
+        return (
+            CenterSet.of(form()).ids,
+            risk(form(), centers, data).hex(),
+            farthest_order(form(), centers, data).tolist(),
+            far_r(form(), centers, 2, data),
+            truncated_risk(form(), centers, 1, data).hex(),
+        )
+
+    def in_order(form):
+        return (
+            data.pairwise(form(), [0, 4]).tobytes(),
+            data.point_to_ids(0, form()).tobytes(),
+            nearest_dists(form(), centers, data)[0].tobytes(),
+        )
+
+    expected = as_set(lambda: [1, 3, 5])
+    for form in forms:
+        assert as_set(form) == expected
+        assert in_order(form) == in_order(lambda: list(form()))
+        assert get_solver("exhaustive").solve(form(), 2, data) == solve_exhaustive([1, 3, 5], 2, data)
+        assert solve_local_search(form(), 2, data) == solve_local_search([1, 3, 5], 2, data)
+        assert build_division(form(), centers, 2, data).bins == build_division([1, 3, 5], centers, 2, data).bins
+    for empty in ([], (), set(), range(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)):
+        assert as_set(lambda: empty) == ((), "0x0.0p+0", [], set(), "0x0.0p+0")
+        assert data.pairwise(empty, [0]).shape == (0, 1)
+
+
+@pytest.mark.parametrize("entry", ["risk", "farthest_order", "far_r", "truncated_risk"])
+def test_centers_checked_once(entry, monkeypatch):
+    """Each entry puts its center ids through the id gate once, however many
+    helpers read them."""
+    data = id_data()
+    centers = CenterSet.of([3, 7])
+    seen = []
+    gate = metric_mod._point_ids
+
+    def spy(ids, *args, **kwargs):
+        seen.append(np.asarray(ids).tolist())
+        return gate(ids, *args, **kwargs)
+
+    monkeypatch.setattr(metric_mod, "_point_ids", spy)
+    call = getattr(metric_mod, entry)
+    if entry in ("far_r", "truncated_risk"):
+        call(range(ID_N), centers, 2, data)
+    else:
+        call(range(ID_N), centers, data)
+    assert seen.count([3, 7]) == 1
 
 
 def test_center_set_normalization():
