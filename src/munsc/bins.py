@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, InfeasibleBinDivisionError, PremiseError
+from .errors import ContractError, InfeasibleBinDivisionError, PremiseError, _whole
 from .metric import CenterSet, Dataset, _point_ids, farthest_order, nearest_dists, risk
 
 __all__ = [
@@ -171,9 +171,7 @@ def build_division(points: Iterable[int], reference: CenterSet, z: int, data: Da
         raise ContractError("W must be nonempty")
     if len(reference) == 0:
         raise ContractError("reference clustering must be nonempty")
-    if z < 1 or int(z) != z:
-        raise ContractError("z must be a positive integer")
-    z = int(z)
+    z = _whole(z, "z")
 
     if ids.size < z:
         return BinDivision(bins=(tuple(ids.tolist()),), z=z, reference=reference, trivial=True)

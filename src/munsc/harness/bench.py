@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import _whole
 from ..multiscale import compute_schedule, run_stream
 from ..params import PROFILES, ratio_ceiling
 from ..solvers import local_search_solver
@@ -102,10 +102,9 @@ def run_suite(
     seed: int = 0,
 ) -> list[dict]:
     """Run a named suite and return its rows, at least one per trial."""
-    if trials < 1:
-        raise ContractError(f"trials must be positive, got {trials}")
-    if jobs < 1:
-        raise ContractError(f"jobs must be positive, got {jobs}")
+    trials = _whole(trials, "trials")
+    jobs = _whole(jobs, "jobs")
+    seed = _whole(seed, "seed", 0)
     if suite == "ratio":
         work = [(t, n, k, delta, seed) for t in range(trials)]
         rows = list(_map(jobs, _ratio_trial, work))

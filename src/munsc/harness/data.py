@@ -6,12 +6,13 @@ datasets carry a single `# matrix` header line followed by the square matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, _whole
 from ..metric import Dataset
 
 __all__ = ["MixtureSample", "generate_gaussian_mixture", "save_dataset", "load_dataset"]
@@ -72,12 +73,12 @@ def generate_gaussian_mixture(
     just inside the cut, of mean norm about 5.8 (5-95% range 5.5 to 6.0),
     and rejection keeps fewer than 1 draw in 500.
     """
-    if n < 1 or k_true < 1 or dim < 1:
-        raise ContractError("n, k_true and dim must be positive")
+    n, k_true, dim = _whole(n, "n"), _whole(k_true, "k_true"), _whole(dim, "dim")
+    seed = _whole(seed, "seed", 0)
     if not (0.0 <= outlier_fraction <= 0.2):
         raise ContractError("outlier_fraction must lie in [0, 0.2]")
-    if separation <= 0:
-        raise ContractError("separation must be positive")
+    if not (0.0 < separation < math.inf):
+        raise ContractError(f"separation must be positive and finite, got {separation!r}")
 
     rng = np.random.default_rng(seed)
     means = _place_means(rng, k_true, dim, separation)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, _whole
 from ..metric import Dataset, risk
 from ..multiscale import MunscResult, compute_schedule, run_stream
 from ..oracle import exact_opt, exact_opt_budget_ok
@@ -100,6 +100,8 @@ def run_experiment(
     "exact", "local-search" force a choice; "none" skips the reference
     (ratio and oracle fields stay null).
     """
+    k = _whole(k, "k")
+    permutation_seed = _whole(permutation_seed, "permutation_seed", 0)
     if isinstance(profile, str):
         if profile not in PROFILES:
             raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _whole
 
 __all__ = [
     "CenterSet",
@@ -523,13 +523,6 @@ def _far_first(points: Iterable[int], centers: CenterSet, data: Dataset) -> tupl
     return ids, d, np.lexsort((ids, -d))
 
 
-def _drop_count(r: int) -> int:
-    """The r of `far_r` and `truncated_risk`, checked: a count of points to drop."""
-    if r < 0 or isinstance(r, bool) or int(r) != r:
-        raise ContractError("r must be a nonnegative integer")
-    return int(r)
-
-
 def risk(points: Iterable[int], centers: CenterSet, data: Dataset) -> float:
     """Sum of nearest-center distances over `points` (empty set -> 0).
 
@@ -552,14 +545,14 @@ def far_r(points: Iterable[int], centers: CenterSet, r: int, data: Dataset) -> s
     Distance ties are resolved toward smaller ids, so the far set is a
     deterministic function of its inputs.
     """
-    r = _drop_count(r)
+    r = _whole(r, "r", 0)
     ids, _, order = _far_first(points, centers, data)
     return set(ids[order[:r]].tolist())
 
 
 def truncated_risk(points: Iterable[int], centers: CenterSet, r: int, data: Dataset) -> float:
     """Risk after discounting the r points that incur the most risk."""
-    r = _drop_count(r)
+    r = _whole(r, "r", 0)
     ids, d, order = _far_first(points, centers, data)
     keep = np.ones(ids.size, dtype=bool)
     keep[order[:r]] = False

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import NamedTuple
 
-from .errors import ContractError
+from .errors import ContractError, _whole
 from .metric import CenterSet, Dataset
 from .params import PROFILES, Profile, alpha_schedule, phi_alpha
 from .select_proc import SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
@@ -48,8 +48,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
     phases shrink to fit and intermediate copies that cannot fit both
     calculation phases are dropped; both adjustments are recorded as warnings.
     """
-    if n < 4:
-        raise ContractError("need at least 4 stream points for one copy")
+    n = _whole(n, "n", 4)  # one copy needs 4 stream points
     sched = alpha_schedule(k, delta)
     dprime = sched.delta_prime
     tau = phi_alpha(k, dprime, sched.alphas[-1], profile)  # every copy thresholds at the last scale

@@ -8,7 +8,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import _whole
 from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
 from .params import PROFILES, Profile, min_nondegenerate_n
 from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
@@ -74,9 +74,9 @@ def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile
         "psi_degenerate": cfg.psi_drop >= p1,
         "min_nondegenerate_n": min_nondegenerate_n(k, delta, alpha, profile),
         "upper_truncation": r_upper,
-        "upper_vacuous": r_upper >= n,
+        "upper_vacuous": r_upper >= cfg.n,
         "lower_truncation": r_lower,
-        "lower_vacuous": r_lower >= n - p1,
+        "lower_vacuous": r_lower >= cfg.n - p1,
     }
 
 
@@ -97,8 +97,8 @@ def psi_sandwich_frequency(
     against full-dataset truncated risks, with the drop counts of
     `_lemma_truncations`. Returns (upper_ok_rate, lower_ok_rate).
     """
-    if trials < 1:
-        raise ContractError("trials must be positive")
+    trials = _whole(trials, "trials")
+    seed = _whole(seed, "seed", 0)
     solver = local_search_solver()
     cfg = make_config(k, data.n, delta, alpha, profile)
     r_upper, r_lower = _lemma_truncations(cfg)

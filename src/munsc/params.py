@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractError
+from .errors import ContractError, _whole
 
 __all__ = [
     "Profile",
@@ -46,7 +46,7 @@ class Profile:
     c_kplus: float
 
     def __post_init__(self) -> None:
-        if self.c_phi <= 0 or self.c_kplus <= 0:
+        if not (self.c_phi > 0 and self.c_kplus > 0):
             raise ContractError("profile constants must be positive")
 
 
@@ -60,11 +60,11 @@ PROFILES: dict[str, Profile] = {
 PSI_DENOM = 3.0
 
 
-def _check_k_delta(k: int, delta: float) -> None:
-    if not isinstance(k, (int,)) or isinstance(k, bool) or k < 1:
-        raise ContractError(f"k must be a positive integer, got {k!r}")
+def _check_k_delta(k: int, delta: float, low: int = 1) -> int:
+    k = _whole(k, "k", low)
     if not (0.0 < delta < 1.0):
         raise ContractError(f"delta must lie in (0,1), got {delta!r}")
+    return k
 
 
 def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
@@ -73,7 +73,7 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
     alpha up to 1.0 is accepted; values above 1/6 only make sense in unit
     tests of the formula itself.
     """
-    _check_k_delta(k, delta)
+    k = _check_k_delta(k, delta)
     if not (0.0 < alpha <= 1.0):
         raise ContractError(f"alpha must lie in (0,1], got {alpha!r}")
     return profile.c_phi * math.log(32.0 * k / delta) / alpha
@@ -81,14 +81,13 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
 
 def k_plus_size(k: int, delta: float, profile: Profile) -> int:
     """Enlarged solution size k + ceil(c_kplus * ln(32k/delta))."""
-    _check_k_delta(k, delta)
+    k = _check_k_delta(k, delta)
     return k + math.ceil(profile.c_kplus * math.log(32.0 * k / delta))
 
 
 def quota_default(k_plus: int, delta: float) -> int:
     """Per-center selection quota ceil(log2(8 * k_plus / delta)); base-2 log."""
-    if k_plus < 1:
-        raise ContractError("k_plus must be positive")
+    k_plus = _whole(k_plus, "k_plus")
     if not (0.0 < delta < 1.0):
         raise ContractError("delta must lie in (0,1)")
     return math.ceil(math.log2(8.0 * k_plus / delta))
@@ -96,17 +95,21 @@ def quota_default(k_plus: int, delta: float) -> int:
 
 def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     """Number of largest phase-2 distances discarded: floor(2*alpha*(k+1)*phi)."""
-    if phi < 0 or alpha <= 0 or k < 1:
-        raise ContractError("invalid truncation inputs")
+    k = _whole(k, "k")
+    if not (0.0 <= phi < math.inf and 0.0 < alpha < math.inf):
+        raise ContractError(f"truncation needs finite phi >= 0 and alpha > 0, got {phi!r} and {alpha!r}")
     return int(math.floor(2.0 * alpha * (k + 1) * phi))
 
 
 def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) -> int:
     """Smallest stream length n at which a copy at scale alpha keeps a psi.
 
-    That is the smallest n whose phase-1 size ceil(alpha * n), the expression
-    `compute_schedule` and `make_config` use, exceeds the psi truncation
-    count; below it the truncation drops every phase-2 distance and psi = 0.
+    That is the smallest n whose phase-1 size ceil(alpha * n), the size
+    `make_config` uses, exceeds the psi truncation count; below it the
+    truncation drops every phase-2 distance and psi = 0. `compute_schedule`
+    gives copy i (from 0) the size ceil(alpha_1 * n) * 2**i >= ceil(alpha * n)
+    (at k = 8 and n = 10,000, copy 1 has 126 where ceil(alpha * n) = 125), so
+    for later copies the n returned suffices but is not always the smallest.
     The count floor(2 alpha (k+1) phi_alpha) hardly depends on alpha, so n
     grows like 1 / alpha.
     """
@@ -121,10 +124,9 @@ def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) ->
 
 def selection_threshold(psi: float, k: int, tau: float) -> float:
     """Distance threshold psi / (k * tau) deciding 'far' selections."""
-    if psi < 0:
-        raise ContractError("psi must be nonnegative")
-    if k < 1 or tau <= 0:
-        raise ContractError("k and tau must be positive")
+    k = _whole(k, "k")
+    if not (psi >= 0 and tau > 0):
+        raise ContractError(f"psi must be nonnegative and tau positive, got psi={psi!r}, tau={tau!r}")
     return psi / (k * tau)
 
 
@@ -140,9 +142,7 @@ class AlphaSchedule:
 
 def alpha_schedule(k: int, delta: float) -> AlphaSchedule:
     """Compute the geometric scale sequence and the per-copy confidence split."""
-    _check_k_delta(k, delta)
-    if k < 2:
-        raise ContractError("the multiscale schedule requires k >= 2")
+    k = _check_k_delta(k, delta, low=2)  # the multiscale schedule needs k >= 2
     alpha_1 = delta / (4.0 * k)
     # Largest I with alpha_1 * 2^I <= 1/6; the 1e-9 guard absorbs float noise
     # when 1/(6*alpha_1) is an exact power of two.
@@ -162,8 +162,8 @@ class TheoremConstants:
 
 
 def theorem_constants(beta: float) -> TheoremConstants:
-    if beta < 1.0:
-        raise ContractError("beta must be >= 1")
+    if not (beta >= 1.0):
+        raise ContractError(f"beta must be >= 1, got {beta!r}")
     small = 36.0 * beta + 20.0
     large = 468.0 * beta + 260.0
     return TheoremConstants(small, large, 1.0 + small + large)

@@ -21,7 +21,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _whole
 from .metric import CenterSet, Dataset
 from .params import (
     PROFILES,
@@ -51,6 +51,11 @@ REASONS = ("not_selected", "far", "quota", "near_flag")  # phase-3 codes; 0 pass
 _FAR, _QUOTA, _NEAR_FLAG = 1, 2, 3
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0 / 6.0 + _RANGE_TOL):
+        raise ContractError(f"alpha must lie in (0, 1/6], got {alpha}")
+
+
 @dataclass(frozen=True)
 class SelectProcConfig:
     """One copy's full configuration, including integer phase boundaries.
@@ -78,29 +83,26 @@ class SelectProcConfig:
     psi_drop: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
-            raise ContractError("k and n must be positive")
+        for name in ("k", "n", "p1_end", "p3_end"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not (0.0 < self.delta < 1.0):
             raise ContractError("delta must lie in (0,1)")
-        if not (0.0 < self.alpha <= 1.0 / 6.0 + _RANGE_TOL):
-            raise ContractError(f"alpha must lie in (0, 1/6], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.alpha < self.gamma <= 1.0 - 2.0 * self.alpha + _RANGE_TOL):
             raise ContractError(f"gamma must lie in (alpha, 1-2*alpha], got {self.gamma}")
-        if not (0 < self.p1_end and self.p2_end <= self.p3_end <= self.n):
-            raise ContractError("phase boundaries must satisfy 0 < p1 and 2*p1 <= p3 <= n")
+        if not (self.p2_end <= self.p3_end <= self.n):
+            raise ContractError(f"phase boundaries need 2*p1 <= p3 <= n, got {self.p1_end}, {self.p3_end}, {self.n}")
         phi = phi_alpha(self.k, self.delta, self.alpha, self.profile)
         k_plus = k_plus_size(self.k, self.delta, self.profile)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "k_plus", k_plus)
         object.__setattr__(self, "psi_drop", psi_truncation_count(self.k, self.alpha, phi))
-        if self.quota is None:
-            object.__setattr__(self, "quota", quota_default(k_plus, self.delta))
+        quota = quota_default(k_plus, self.delta) if self.quota is None else self.quota
+        object.__setattr__(self, "quota", _whole(quota, "quota"))
         if self.tau is None:
             object.__setattr__(self, "tau", phi)
-        if self.quota < 1:
-            raise ContractError("quota must be positive")
-        if self.tau <= 0:
-            raise ContractError("tau must be positive")
+        if not (self.tau > 0):
+            raise ContractError(f"tau must be positive, got {self.tau!r}")
 
     @property
     def p2_end(self) -> int:
@@ -116,9 +118,8 @@ def make_config(
 ) -> SelectProcConfig:
     """Standalone configuration of a full-stream copy: gamma = 1 - 2*alpha
     (read everything); quota and tau default as in SelectProcConfig."""
-    p1_end = ceil(alpha * n)
-    if 2 * p1_end > n:
-        raise ContractError("stream too short for two calculation phases at this alpha")
+    n = _whole(n, "n")
+    _check_alpha(alpha)  # before ceil(alpha * n), which a NaN or infinite alpha breaks
     return SelectProcConfig(
         k=k,
         n=n,
@@ -126,7 +127,7 @@ def make_config(
         alpha=alpha,
         gamma=1.0 - 2.0 * alpha,
         profile=profile,
-        p1_end=p1_end,
+        p1_end=ceil(alpha * n),
         p3_end=n,
     )
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ContractError
+from .errors import BudgetExceededError, ContractError, _whole
 from .metric import CenterSet, Dataset, _point_ids, row_blocks
 
 __all__ = [
@@ -49,11 +49,7 @@ class Solver:
 
     def solve(self, points: Iterable[int], k: int, data: Dataset) -> CenterSet:
         ids = _point_ids(points, data.n, unique=True)
-        if ids.size == 0:
-            raise ContractError("solver input must be nonempty")
-        if k < 1:
-            raise ContractError("k must be positive")
-        out = self._fn(ids, k, data)
+        out = self._fn(ids, k, data)  # each solver checks that ids is nonempty and k an integer >= 1
         if not set(out.ids) <= set(ids.tolist()):
             raise ContractError("solver returned centers outside its input set")
         if len(out) > k:
@@ -80,8 +76,7 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
     ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
         raise ContractError("input set must be nonempty")
-    if k < 1:
-        raise ContractError("k must be positive")
+    k = _whole(k, "k")
     m = ids.size
     if not _within_budget(m, k):
         raise BudgetExceededError(
@@ -353,10 +348,8 @@ def solve_local_search(
     ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
         raise ContractError("input set must be nonempty")
-    if k < 1:
-        raise ContractError("k must be positive")
-    if max_iters < 1:
-        raise ContractError("max_iters must be positive")
+    k = _whole(k, "k")
+    max_iters = _whole(max_iters, "max_iters")
     m = ids.size
     if k >= m:
         return CenterSet.of(ids)
@@ -405,6 +398,7 @@ def exhaustive_solver() -> Solver:
 
 def local_search_solver(max_iters: int = 100) -> Solver:
     """`solve_local_search` with beta = 5 (held on convergence), at most `max_iters` passes."""
+    max_iters = _whole(max_iters, "max_iters")
     return Solver(
         name="local-search",
         beta=5.0,

@@ -22,6 +22,7 @@ from munsc.harness import (
     save_dataset,
 )
 import munsc.harness.cli as cli_mod
+import munsc.harness.experiment as experiment_mod
 from munsc.harness.bench import run_suite
 from munsc.harness.cli import main as cli_main
 from munsc.harness.experiment import _ratio
@@ -269,6 +270,28 @@ class TestCli:
         assert cli_main(["bench", "--suite", "ratio", "--trials", "1", "--jobs", jobs, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"munsc: error: jobs must be positive, got {jobs}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, env_seed, message", [
+        (["gen", "--n", "50", "--separation", "nan"], None, "separation must be positive and finite, got nan"),
+        (["gen", "--n", "50", "--separation", "inf"], None, "separation must be positive and finite, got inf"),
+        (["gen", "--n", "50", "--seed", "-1"], None, "seed must be at least 0, got -1"),
+        (["gen", "--n", "50"], "-1", "seed must be at least 0, got -1"),
+        (["run", "--data", "DATA", "--k", "2", "--perm-seed", "-1"], None, "permutation_seed must be at least 0, got -1"),
+        (["run", "--data", "DATA", "--k", "2", "--solver-max-iters", "0"], None, "max_iters must be positive, got 0"),
+        (["bench", "--suite", "ratio", "--trials", "1", "--seed", "-5"], None, "seed must be at least 0, got -5"),
+    ], ids=["gen-separation-nan", "gen-separation-inf", "gen-seed", "gen-env-seed", "run-perm-seed", "run-max-iters", "bench-seed"])
+    def test_bad_number_is_one_line_before_streaming(self, tmp_path, capsys, monkeypatch, command, env_seed, message):
+        if env_seed is not None:
+            monkeypatch.setenv("MUNSC_SEED", env_seed)
+        monkeypatch.setattr(experiment_mod, "run_stream", lambda *args: pytest.fail("a point was streamed"))
+        data_path = tmp_path / "d.csv"
+        save_dataset(generate_gaussian_mixture(240, 2, 2, 50.0, 0.02, seed=3).dataset, data_path)
+        out = tmp_path / "out"
+        argv = [str(data_path) if a == "DATA" else a for a in command]
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"munsc: error: {message}\n"
         assert captured.out == "" and not out.exists()
 
     def test_bench_lemmas_suite(self, tmp_path):
