@@ -136,14 +136,16 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
 
     states = [SelectProcState(cfg) for cfg in schedule.copies]
     selection_order: list[int] = []
+    read, log_decision = st.read, st.log_decision  # bound once: the loop runs n times
     for t in range(n):
-        x = st.read()
+        x = read()
         selected = False
         for state in states:
-            selected |= observe(state, x, data, solver)
+            if observe(state, x, data, solver):
+                selected = True
         if selected:  # a permutation reads each point once
             selection_order.append(x)
-        st.log_decision(t, StreamRecord(x, selected))
+        log_decision(t, StreamRecord(x, selected))
 
     reports = tuple(finish(s) for s in states)
     warnings = list(schedule.warnings)

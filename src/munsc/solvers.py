@@ -60,6 +60,7 @@ class Solver:
 def _within_budget(m: int, k: int) -> bool:
     """Whether `solve_exhaustive` may take m points and k: C(m, min(k, m)) subsets
     at most `EXHAUSTIVE_BUDGET`."""
+    m, k = _whole(m, "m"), _whole(k, "k")
     return comb(m, min(k, m)) <= EXHAUSTIVE_BUDGET
 
 

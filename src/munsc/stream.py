@@ -28,14 +28,15 @@ class InstrumentedStream:
             raise ContractError("stream must be nonempty")
         if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ContractError("stream must be a permutation of range(n)")
-        self._order = perm
+        self._order: list[int] = perm.tolist()  # plain ints: `read` runs once per point
+        self._n = n
         self._pending: int | None = None
         self._cursor = 0
         self.decision_log: list[tuple[int, object]] = []
 
     @property
     def n(self) -> int:
-        return int(self._order.size)
+        return self._n
 
     @property
     def reads(self) -> int:
@@ -47,11 +48,12 @@ class InstrumentedStream:
             raise StreamProtocolError(
                 f"point at index {self._pending} awaits a decision; cannot read ahead"
             )
-        if self._cursor >= self.n:
+        t = self._cursor
+        if t >= self._n:
             raise StreamProtocolError("stream exhausted")
-        self._pending = self._cursor
-        self._cursor += 1
-        return int(self._order[self._pending])
+        self._pending = t
+        self._cursor = t + 1
+        return self._order[t]
 
     def log_decision(self, index: int, decision: object) -> None:
         """Record the decision for the point most recently read."""

@@ -5,10 +5,12 @@ were mirrored, centers were given a risk of 0 without a distance
 computation, and local search learned to stop before the end of a sweep;
 the nearest-center digests of `test_metric`, before the screen of
 `nearest_dists` moved to float32; the bin sizes, before `bins` stopped
-precomputing the largest total of each bin count. Each of those changes
-claims to keep every output bit for bit; these hashes hold them to it. The
-inputs are drawn here, not by `munsc.harness.data`, so that a change to the
-generator cannot move them.
+precomputing the largest total of each bin count; the decision columns of
+`test_run_stream` and its 1-d and matrix cases, before each copy chose its
+nearest-reference lookup once, with a Python loop for few 2-d centers.
+Each of those changes claims to keep every output bit for bit; these hashes
+hold them to it. The inputs are drawn here, not by `munsc.harness.data`, so
+that a change to the generator cannot move them.
 """
 
 from __future__ import annotations
@@ -40,33 +42,66 @@ def ids_hash(ids) -> str:
     return hashlib.sha256(np.asarray(ids, dtype=np.int64).tobytes()).hexdigest()
 
 
-# 16-d phase-1 solves take the mirrored square block
+# 16-d phase-1 solves take the mirrored square block; "matrix" streams over the
+# distance matrix of the same kind of blobs
 @pytest.mark.parametrize(
-    "seed, n, dim, k, order_hash, t_out_hash, risk_hex",
+    "seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash",
     [
         (
             1, 3000, 2, 2,
             "137e043725cca4df3025d0eac755fb69c452565b0b1cb6994582530511c4f14e",
             "c40049a47fcfddbb11e6755fca5e9b6fc6ce1759c9199ec1b62b502ddfe14a7b",
             "0x1.b70a2dd1a6e9cp+3",
+            "ea72f757766262e2a527a7f21f281a921a28c97656e6a8682b98ab763b937954",
         ),
         (
             2, 2500, 16, 3,
             "613561ce171715a43b365565926840fcc3eba8e62b699c6ad2527b1c63ab0359",
             "bd4912203b2427c95798ba8c5aac55bf825310a0f9d841a8dc0680a8185d1fea",
             "0x1.02015eed6e039p+8",
+            "791aebbccff9c5eda207b67048cafc41bf865d153e709d3db34c97e10a12964e",
+        ),
+        (
+            17, 3000, 1, 2,
+            "9f1438746197e792e08ff283dfb96050bfb19b7b6a93d9d05c600ed2ae025807",
+            "1b2b4894326dcfd279ed42e335f1b6e5cc1b7e0d673de64e41cf4d371626c195",
+            "0x1.3b5898a751b50p-1",
+            "386a13691a11ba321fbed70af419765ce78271763b25fb6c87dd39b27f247c9f",
+        ),
+        (
+            18, 1500, "matrix", 2,
+            "aa169173c4551e6443ef62ee5b8258b90201d3451f5abe7fa2f268d4144ca04c",
+            "263eccfc13fb8edb7b6becf8a31b18f960123eee6f4bc8497f0e9c7cc3dd0e73",
+            "0x1.b6ca8dc23a66dp+2",
+            "2ef4db812b38f825d4cb600efa79f399f693f6e17ca01bd78beb2e20a8ae8cb3",
         ),
     ],
-    ids=["2d", "16d"],
+    ids=["2d", "16d", "1d", "matrix"],
 )  # fmt: skip
-def test_run_stream(seed, n, dim, k, order_hash, t_out_hash, risk_hex):
-    x, perm = blobs(seed, n, dim, k)
+def test_run_stream(seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash):
+    assert run_stream_digests(seed, n, dim, k) == (order_hash, t_out_hash, risk_hex, columns_hash)
+
+
+def run_stream_digests(seed: int, n: int, dim, k: int) -> tuple[str, str, str, str]:
+    """Hashes of the selection order and T_out, the risk of T_out, and a sha256
+    over every copy's `dists`, `slots` (as int64) and `reasons` columns."""
+    x, perm = blobs(seed, n, 2 if dim == "matrix" else dim, k)
     data = Dataset.from_coords(x)
+    if dim == "matrix":
+        data = Dataset.from_matrix(data.pairwise(range(n), range(n)))
     schedule = compute_schedule(k, 0.2, n, PROFILES["desk"])
     result = run_stream(perm, schedule, data, get_solver("local-search", max_iters=20))
-    assert ids_hash(result.selection_order) == order_hash
-    assert ids_hash(result.centers.ids) == t_out_hash
-    assert risk(range(n), result.centers, data).hex() == risk_hex
+    columns = hashlib.sha256()
+    for rep in result.copy_reports:
+        for col in (rep.dists, rep.slots.astype(np.int64), rep.reasons):
+            columns.update(col.tobytes())
+            columns.update(b"|")
+    return (
+        ids_hash(result.selection_order),
+        ids_hash(result.centers.ids),
+        risk(range(n), result.centers, data).hex(),
+        columns.hexdigest(),
+    )
 
 
 @pytest.mark.parametrize(

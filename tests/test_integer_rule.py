@@ -39,6 +39,7 @@ from munsc import (
 )
 from munsc.harness import generate_gaussian_mixture, run_experiment
 from munsc.harness.bench import run_suite
+from munsc.oracle import exact_opt_budget_ok
 from munsc.params import psi_truncation_count
 
 DESK = PROFILES["desk"]
@@ -88,6 +89,8 @@ ENTRIES = {
     "Solver.solve.k[exhaustive]": (1, 2, lambda v: get_solver("exhaustive").solve(IDS, v, DATA).ids),
     "Solver.solve.k[local-search]": (1, 3, lambda v: get_solver("local-search").solve(IDS, v, DATA).ids),
     "exact_opt.k": (1, 2, lambda v: exact_opt(DATA, v)),
+    "exact_opt_budget_ok.m": (1, 240, lambda v: exact_opt_budget_ok(v, 2)),
+    "exact_opt_budget_ok.k": (1, 2, lambda v: exact_opt_budget_ok(240, v)),
     "SelectProcConfig.k": (1, 2, lambda v: _config(k=v)),
     "SelectProcConfig.n": (1, 1000, lambda v: _config(n=v)),
     "SelectProcConfig.p1_end": (1, 50, lambda v: _config(p1_end=v)),

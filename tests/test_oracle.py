@@ -18,6 +18,7 @@ from munsc import (
     sandwich_report,
     solve_local_search,
 )
+from munsc.oracle import exact_opt_budget_ok
 
 DESK = PROFILES["desk"]
 PAPER = PROFILES["paper"]
@@ -61,6 +62,16 @@ class TestExactOpt:
         ds = Dataset.from_coords(rng.normal(size=(300, 2)))
         with pytest.raises(BudgetExceededError):
             exact_opt(ds, 3)
+
+    @pytest.mark.parametrize("m, k", [(240, 2.5), (240.0, 2), (240, True), (-3, 2), (240, 0), (np.float64(240), 2)])
+    def test_budget_check_takes_integers(self, m, k):
+        with pytest.raises(ContractError):
+            exact_opt_budget_ok(m, k)
+
+    def test_budget_check(self):
+        assert exact_opt_budget_ok(240, 2) and exact_opt_budget_ok(np.int64(1414), np.int64(2))
+        assert not exact_opt_budget_ok(1415, 2)
+        assert exact_opt_budget_ok(3, 5)  # k past m: the one subset of all m points
 
     def test_never_beaten_by_local_search(self):
         rng = np.random.default_rng(31)

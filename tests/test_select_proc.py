@@ -20,6 +20,7 @@ from munsc import (
     phi_alpha,
 )
 from munsc.params import psi_truncation_count
+from munsc.select_proc import _LOOP_CENTERS, _nearest_lookup
 from munsc.solvers import exhaustive_solver
 
 DESK = PROFILES["desk"]
@@ -230,15 +231,13 @@ class TestStreamingInvariants:
         assert finish(s1).psi == finish(s2).psi
 
 
-class TestNearestRef:
-    @staticmethod
-    def _state(data: Dataset, centers: np.ndarray) -> SelectProcState:
-        state = SelectProcState(make_config(2, 1000, 0.1, 0.1, PAPER))
-        state._center_ids = centers
-        if data.mode == "euclidean":
-            state._center_pts = data.coords[centers]
-        return state
+def _pairwise_nearest(data: Dataset, centers: np.ndarray, x: int) -> tuple[int, float]:
+    row = data.pairwise([x], centers)[0]
+    pos = int(row.argmin())
+    return pos, float(row[pos])
 
+
+class TestNearestRef:
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 64, 65])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_matches_pairwise_bit_for_bit(self, dim, offset):
@@ -247,18 +246,122 @@ class TestNearestRef:
         pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
         data = Dataset.from_coords(pts)
         centers = np.array(sorted({*range(0, 200, 9), 40, 105, 117}), dtype=np.int64)
-        state = self._state(data, centers)
-        block = data.pairwise(np.arange(200), centers)
+        lookup = _nearest_lookup(data, centers)
         for x in range(200):
-            pos, d = state._nearest_ref(x, data)
-            assert pos == int(block[x].argmin())
-            assert d == block[x].min()
+            assert lookup(x) == _pairwise_nearest(data, centers, x)
 
     def test_matrix_mode(self):
         coords = Dataset.from_coords(np.random.default_rng(3).normal(size=(40, 3)))
         data = Dataset.from_matrix(coords.pairwise(range(40), range(40)))
         centers = np.array([2, 5, 11, 30], dtype=np.int64)
-        state = self._state(data, centers)
-        block = data.pairwise(np.arange(40), centers)
+        lookup = _nearest_lookup(data, centers)
         for x in range(40):
-            assert state._nearest_ref(x, data) == (int(block[x].argmin()), block[x].min())
+            assert lookup(x) == _pairwise_nearest(data, centers, x)
+
+
+class TestNearestLookup2d:
+    """The 2-d lookup, a Python loop up to `_LOOP_CENTERS` centers and numpy
+    past it, agrees with `pairwise` in distance and position, bit for bit."""
+
+    @staticmethod
+    def _check(pts, centers, kind: str) -> None:
+        data = Dataset.from_coords(pts)
+        centers = np.asarray(centers, dtype=np.int64)
+        lookup = _nearest_lookup(data, centers)
+        assert lookup.__name__ == kind
+        for x in range(data.n):
+            pos, d = lookup(x)
+            assert type(pos) is int and type(d) is float
+            assert (pos, d) == _pairwise_nearest(data, centers, x)
+
+    @staticmethod
+    def _kind(m: int) -> str:
+        return "loop_2d" if m <= _LOOP_CENTERS else "broadcast"
+
+    @pytest.mark.parametrize("m", [1, 2, 16, _LOOP_CENTERS, _LOOP_CENTERS + 1, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points(self, m, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(300, 2)) * 10 ** rng.uniform(-6, 6, size=2) + rng.normal(scale=1e3, size=2)
+        self._check(pts, np.sort(rng.choice(300, size=m, replace=False)), self._kind(m))
+
+    @pytest.mark.parametrize("m", [8, 40])
+    def test_duplicate_centers(self, m):
+        rng = np.random.default_rng(m)
+        pts = rng.integers(-3, 4, size=(120, 2)).astype(float)  # few distinct points: duplicates and ties
+        pts[:m:2] = pts[1:m:2]
+        self._check(pts, range(m), self._kind(m))
+
+    @pytest.mark.parametrize("m", [4, 36])
+    def test_exact_ties(self, m):
+        """Centers on a circle of radius 5 through integer points, each point
+        equidistant to several of them; ties go to the first position."""
+        ring = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (-4.0, -3.0), (0.0, -5.0), (3.0, -4.0)]
+        centers = [ring[i % len(ring)] for i in range(m)]
+        queries = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-1.0, 2.5)]
+        self._check(np.array(centers + queries), range(m), self._kind(m))
+
+    def test_tie_made_by_the_square_root(self):
+        """Two squared sums that differ but share a rounded square root: the
+        first center in order wins, although the second's sum is smaller."""
+        by_root: dict[float, dict[float, tuple[float, float]]] = {}
+        for j in range(400):  # centers (1.5, b) seen from the origin
+            b = j * 1e-10
+            s = 1.5 * 1.5 + b * b
+            by_root.setdefault(math.sqrt(s), {})[s] = (1.5, b)
+        centers = next(group for group in by_root.values() if len(group) > 1)
+        larger, smaller = sorted(centers, reverse=True)[:2]
+        for m in (2, _LOOP_CENTERS + 2):
+            pts = np.array([centers[larger], centers[smaller]] + [(100.0, 100.0)] * (m - 2) + [(0.0, 0.0)])
+            data = Dataset.from_coords(pts)
+            assert _nearest_lookup(data, np.arange(m))(m) == (0, math.sqrt(larger))
+            self._check(pts, range(m), self._kind(m))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_overflowing_squares(self, m):
+        """Coordinates near 1e154, where the square of a difference can exceed
+        the float range and make a distance inf; a point with every distance
+        inf takes position 0."""
+        rng = np.random.default_rng(m)
+        centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2))
+        queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]])
+        pts = np.concatenate([centers, queries])
+        data = Dataset.from_coords(pts)
+        assert _nearest_lookup(data, np.arange(m))(len(pts) - 1) == (0, math.inf)
+        self._check(pts, range(m), self._kind(m))
+
+
+class TestObservePointIds:
+    @staticmethod
+    def _phase3_state() -> tuple[SelectProcState, Dataset]:
+        data = Dataset.from_coords(np.random.default_rng(0).normal(size=(300, 2)))
+        state = SelectProcState(make_config(2, 300, 0.2, 0.05, DESK))
+        for x in range(40):
+            observe(state, x, data, exhaustive_solver())
+        assert state.count >= state.config.p2_end
+        return state, data
+
+    @pytest.mark.parametrize("bad", [-1, 300, 2.5, 3.0, True, np.True_, "3", None])
+    def test_bad_id_rejected_in_one_line(self, bad):
+        state, data = self._phase3_state()
+        count = state.count
+        with pytest.raises(ContractError) as err:
+            observe(state, bad, data, exhaustive_solver())
+        assert "\n" not in str(err.value)
+        assert state.count == count  # nothing was consumed
+
+    def test_bad_id_rejected_in_phase_1(self):
+        data = Dataset.from_coords(np.zeros((30, 2)))
+        state = SelectProcState(make_config(2, 30, 0.2, 0.05, DESK))
+        with pytest.raises(ContractError):
+            observe(state, -1, data, exhaustive_solver())
+        assert state.count == 0
+
+    def test_numpy_integer_ids(self):
+        data, _, state, selected, perm, _ = _two_cluster_run()
+        again = SelectProcState(state.config)
+        solver = local_search_solver(max_iters=40)
+        assert [observe(again, x, data, solver) for x in perm] == selected  # np.int64 ids
+        assert finish(again).selected == finish(state).selected
+        assert all(type(x) is int for x in again.selected)
