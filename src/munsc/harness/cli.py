@@ -12,7 +12,7 @@ from ..params import PROFILES
 from ..solvers import SOLVER_NAMES, get_solver
 from .bench import SUITES, run_suite, write_rows
 from .data import generate_gaussian_mixture, load_dataset, save_dataset
-from .experiment import run_experiment
+from .experiment import ORACLE_MODES, run_experiment
 from .validate import run_validate_suite
 
 
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--solver", choices=SOLVER_NAMES, default="local-search")
     r.add_argument("--solver-max-iters", type=int, default=100, help="local-search passes per phase-1 solve")
     r.add_argument("--perm-seed", type=int, default=_default_seed())
-    r.add_argument("--oracle", choices=("auto", "exact", "local-search", "none"), default="auto")
+    r.add_argument("--oracle", choices=ORACLE_MODES, default="auto")
     r.add_argument("--out", required=True)
 
     b = sub.add_parser("bench", help="run a benchmark suite and write CSV rows")

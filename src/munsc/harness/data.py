@@ -46,12 +46,17 @@ def _place_means(rng: np.random.Generator, k_true: int, dim: int, separation: fl
 
 
 def _truncated_normal(rng: np.random.Generator, count: int, dim: int, radius: float = 6.0) -> np.ndarray:
-    """Unit-variance isotropic normals conditioned on norm <= radius."""
+    """Unit-variance isotropic normals conditioned on norm <= radius.
+
+    Each pass redraws the rows still outside the ball, in ascending order,
+    and tests only those: an accepted row never changes.
+    """
     out = rng.standard_normal((count, dim))
-    bad = np.linalg.norm(out, axis=1) > radius
-    while np.any(bad):
-        out[bad] = rng.standard_normal((int(bad.sum()), dim))
-        bad = np.linalg.norm(out, axis=1) > radius
+    bad = np.flatnonzero(np.linalg.norm(out, axis=1) > radius)
+    while bad.size:
+        redrawn = rng.standard_normal((bad.size, dim))
+        out[bad] = redrawn
+        bad = bad[np.linalg.norm(redrawn, axis=1) > radius]
     return out
 
 

@@ -20,6 +20,7 @@ from ..stream import InstrumentedStream
 __all__ = ["ExperimentReport", "run_experiment", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
+ORACLE_MODES = ("auto", "exact", "local-search", "none")
 
 @dataclass(frozen=True)
 class CopySummary:
@@ -102,6 +103,8 @@ def run_experiment(
     """
     k = _whole(k, "k")
     permutation_seed = _whole(permutation_seed, "permutation_seed", 0)
+    if oracle not in ORACLE_MODES:
+        raise ContractError(f"unknown oracle mode {oracle!r}")
     if isinstance(profile, str):
         if profile not in PROFILES:
             raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
@@ -130,11 +133,9 @@ def run_experiment(
         ref = solve_local_search(all_ids, k, data)
         oracle_label = "local-search (beta=5 reference)"
         oracle_risk = risk(all_ids, ref, data)
-    elif oracle == "none":
+    else:  # "none"
         oracle_label = None
         oracle_risk = None
-    else:
-        raise ContractError(f"unknown oracle mode {oracle!r}")
 
     ratio = None if oracle_risk is None else _ratio(achieved, oracle_risk, warnings)
 

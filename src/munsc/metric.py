@@ -53,6 +53,12 @@ _F32_COLS = 256
 # about 13 (2-d) and 10 (64-d) kept columns a row: 10,000 rows to 1,000
 # centers in clusters too tight for it (same Xeon host). Blobs keep 1-2.
 _F32_KEPT = 8
+# Coordinates are refused when their squared span, sum_t (max_t - min_t)^2, is
+# not below this. Rounding is monotone, so each difference and square that a
+# kernel rounds is at most the span's, and any order of summing d such squares
+# stays within ((1 + u) / (1 - u))^d < 2 of the sum computed here (u = 2^-53,
+# d < 2^51): no squared distance, and no partial sum of one, overflows.
+_MAX_SPAN_SQ = float(np.finfo(np.float64).max) / 2
 # Square `pairwise` blocks of at least this many dims compute the upper half
 # and mirror it. From 8 dims on, `_sum_squares` leaves its sequential branch
 # and the mirror pays: m = 2000 took 612 -> 354 ms in 64-d and 90 -> 56 ms in
@@ -162,8 +168,16 @@ class Dataset:
             coords = np.array(coords, dtype=np.float64, copy=True)
             if coords.ndim != 2 or coords.shape[0] < 1:
                 raise ContractError("coords must be a nonempty 2-d array")
-            if not np.all(np.isfinite(coords)):
+            lo, hi = (float(coords.min()), float(coords.max())) if coords.size else (0.0, 0.0)
+            if not (-math.inf < lo and hi < math.inf):  # NaN fails too
                 raise ContractError("coordinates must be finite")
+            # d (hi - lo)^2 bounds the squared span; only if it fails are the columns
+            # reduced one by one, which takes 100x as long on 42,000 x 2 coordinates
+            if not (coords.shape[1] * (hi - lo) * (hi - lo) < _MAX_SPAN_SQ):
+                with np.errstate(over="ignore"):
+                    span_sq = float(np.sum(np.square(coords.max(axis=0) - coords.min(axis=0))))
+                if not (span_sq < _MAX_SPAN_SQ):
+                    raise ContractError(f"coordinates span too far: squared span {span_sq:.3g} overflows distances")
             coords.setflags(write=False)
             self._coords: np.ndarray | None = coords
             self._matrix: np.ndarray | None = None
@@ -470,9 +484,9 @@ def _screened_nearest(
     value of p; or non-finite) is recomputed over all its columns. Below
     that, |fl_p(-2 C_t)| <= 2 bounds every partial sum of the GEMM by
     2 (1 + u)^(d+1) sum |A_t| < max_p / 4, so no t overflows. The exact
-    values may still overflow; a minimum of inf means every column did, and
-    the position is the first column's. Correctness never depends on the
-    data; the shift and scale only keep the screen tight. A float32 screen
+    values never overflow, as `Dataset` refuses coordinates whose squared
+    span could make them. Correctness never depends on the data; the shift
+    and scale only keep the screen tight. A float32 screen
     that keeps more than `_F32_KEPT` columns a row, on average over the
     tile, returns None, and the caller screens the tile again in float64.
     """
@@ -496,7 +510,6 @@ def _screened_nearest(
     starts = np.searchsorted(r, np.arange(rows.size))  # every row keeps its smallest t
     dist = np.minimum.reduceat(exact, starts)
     pos = np.minimum.reduceat(np.where(exact == dist[r], j, carr.size), starts)
-    pos[np.isinf(dist)] = 0  # every column's exact value overflowed; argmin takes the first
     return dist, pos
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import NamedTuple
 
 from .errors import ContractError, _whole
 from .metric import CenterSet, Dataset
@@ -20,7 +19,7 @@ from .select_proc import SelectProcConfig, SelectProcReport, SelectProcState, fi
 from .solvers import Solver
 from .stream import InstrumentedStream
 
-__all__ = ["Schedule", "StreamRecord", "MunscResult", "compute_schedule", "run_stream"]
+__all__ = ["Schedule", "MunscResult", "compute_schedule", "run_stream"]
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
     )
 
 
-class StreamRecord(NamedTuple):
-    """Per-index aggregate logged to the instrumented stream."""
-
-    point: int
-    selected: bool
-
-
 @dataclass(frozen=True)
 class MunscResult:
     """Union of all copies' selections plus their individual reports."""
@@ -145,7 +137,7 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
                 selected = True
         if selected:  # a permutation reads each point once
             selection_order.append(x)
-        log_decision(t, StreamRecord(x, selected))
+        log_decision(t, selected)
 
     reports = tuple(finish(s) for s in states)
     warnings = list(schedule.warnings)

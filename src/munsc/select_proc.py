@@ -227,7 +227,7 @@ def _nearest_lookup(data: Dataset, ids: np.ndarray) -> Callable[[int], tuple[int
 
         def loop_2d(x: int) -> tuple[int, float]:
             u, v = coords[x].tolist()
-            best, pos = inf, 0  # every distance inf (the squares overflow): position 0, as argmin
+            best, pos = inf, 0
             for i, (a, b) in enumerate(centers):
                 du = a - u
                 dv = b - v

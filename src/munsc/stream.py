@@ -8,18 +8,29 @@ was made online.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractError, StreamProtocolError
 from .metric import _point_ids
 
-__all__ = ["InstrumentedStream"]
+__all__ = ["InstrumentedStream", "StreamRecord"]
+
+
+class StreamRecord(NamedTuple):
+    """One logged decision: the point read at its index, and whether it was taken."""
+
+    point: int
+    selected: bool
 
 
 class InstrumentedStream:
-    """A permutation of [0, n) readable strictly one decision at a time."""
+    """A permutation of [0, n) readable strictly one decision at a time.
+
+    Decision t is byte t of one column, so a point awaits its decision exactly
+    when the cursor is one past the column's end.
+    """
 
     def __init__(self, order: Sequence[int]):
         perm = _point_ids(order)
@@ -30,9 +41,8 @@ class InstrumentedStream:
             raise ContractError("stream must be a permutation of range(n)")
         self._order: list[int] = perm.tolist()  # plain ints: `read` runs once per point
         self._n = n
-        self._pending: int | None = None
         self._cursor = 0
-        self.decision_log: list[tuple[int, object]] = []
+        self._taken = bytearray()  # 1 if the point at that index was taken
 
     @property
     def n(self) -> int:
@@ -44,26 +54,29 @@ class InstrumentedStream:
 
     def read(self) -> int:
         """Reveal the next point. Fails if the previous decision is missing."""
-        if self._pending is not None:
-            raise StreamProtocolError(
-                f"point at index {self._pending} awaits a decision; cannot read ahead"
-            )
         t = self._cursor
+        if t != len(self._taken):
+            raise StreamProtocolError(f"point at index {t - 1} awaits a decision; cannot read ahead")
         if t >= self._n:
             raise StreamProtocolError("stream exhausted")
-        self._pending = t
         self._cursor = t + 1
         return self._order[t]
 
-    def log_decision(self, index: int, decision: object) -> None:
-        """Record the decision for the point most recently read."""
-        if self._pending is None or index != self._pending:
-            raise StreamProtocolError(
-                f"decision logged for index {index} but index {self._pending} is pending"
-            )
-        self.decision_log.append((index, decision))
-        self._pending = None
+    def log_decision(self, index: int, selected: bool) -> None:
+        """Record whether the point most recently read was taken."""
+        t = len(self._taken)
+        if index != t or self._cursor == t:
+            pending = t if self._cursor > t else None
+            raise StreamProtocolError(f"decision logged for index {index} but index {pending} is pending")
+        if not isinstance(selected, (bool, np.bool_)):
+            raise ContractError(f"decision for index {t} must be a bool, not {type(selected).__name__}")
+        self._taken.append(1 if selected else 0)
+
+    @property
+    def decision_log(self) -> list[tuple[int, StreamRecord]]:
+        """(index, StreamRecord) for every logged decision, built anew on each read."""
+        return [(t, StreamRecord(x, s == 1)) for t, (x, s) in enumerate(zip(self._order, self._taken))]
 
     @property
     def complete(self) -> bool:
-        return self._pending is None and self._cursor == self.n
+        return len(self._taken) == self._n

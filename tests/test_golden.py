@@ -7,10 +7,14 @@ the nearest-center digests of `test_metric`, before the screen of
 `nearest_dists` moved to float32; the bin sizes, before `bins` stopped
 precomputing the largest total of each bin count; the decision columns of
 `test_run_stream` and its 1-d and matrix cases, before each copy chose its
-nearest-reference lookup once, with a Python loop for few 2-d centers.
+nearest-reference lookup once, with a Python loop for few 2-d centers; the
+decision logs of `test_run_stream`, before the stream kept one byte per
+decision in place of a record object; the mixture of `test_mixture`, before
+the rejection sampler tested only the rows it redrew.
 Each of those changes claims to keep every output bit for bit; these hashes
 hold them to it. The inputs are drawn here, not by `munsc.harness.data`, so
-that a change to the generator cannot move them.
+that a change to the generator cannot move them; `test_mixture` pins the
+generator itself.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import pytest
 import munsc.solvers as solvers_mod
 from munsc.bins import _integer_sizes
 from munsc.errors import InfeasibleBinDivisionError
+from munsc.harness.data import generate_gaussian_mixture
 from munsc.metric import CenterSet, Dataset, farthest_order, nearest_dists, risk, truncated_risk
 from munsc.multiscale import compute_schedule, run_stream
 from munsc.oracle import exact_opt
 from munsc.params import PROFILES
 from munsc.solvers import get_solver, solve_local_search
+from munsc.stream import InstrumentedStream
 
 
 def blobs(seed: int, n: int, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +51,7 @@ def ids_hash(ids) -> str:
 # 16-d phase-1 solves take the mirrored square block; "matrix" streams over the
 # distance matrix of the same kind of blobs
 @pytest.mark.parametrize(
-    "seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash",
+    "seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash, log_hash",
     [
         (
             1, 3000, 2, 2,
@@ -53,6 +59,7 @@ def ids_hash(ids) -> str:
             "c40049a47fcfddbb11e6755fca5e9b6fc6ce1759c9199ec1b62b502ddfe14a7b",
             "0x1.b70a2dd1a6e9cp+3",
             "ea72f757766262e2a527a7f21f281a921a28c97656e6a8682b98ab763b937954",
+            "9995fa11737320cc923aabb8fa913f494cd5a4a9fa32a876bc947d4c3ad9727c",
         ),
         (
             2, 2500, 16, 3,
@@ -60,6 +67,7 @@ def ids_hash(ids) -> str:
             "bd4912203b2427c95798ba8c5aac55bf825310a0f9d841a8dc0680a8185d1fea",
             "0x1.02015eed6e039p+8",
             "791aebbccff9c5eda207b67048cafc41bf865d153e709d3db34c97e10a12964e",
+            "7e204a4d81841bdb6113e7d5071657bdc480743926a7bc8f966bd6b4a5ee61a5",
         ),
         (
             17, 3000, 1, 2,
@@ -67,6 +75,7 @@ def ids_hash(ids) -> str:
             "1b2b4894326dcfd279ed42e335f1b6e5cc1b7e0d673de64e41cf4d371626c195",
             "0x1.3b5898a751b50p-1",
             "386a13691a11ba321fbed70af419765ce78271763b25fb6c87dd39b27f247c9f",
+            "898ade4aad6ba6801f0f9762b3eb7e05a2ff8d915d8d90ad7ed62ebe1e9ab538",
         ),
         (
             18, 1500, "matrix", 2,
@@ -74,23 +83,26 @@ def ids_hash(ids) -> str:
             "263eccfc13fb8edb7b6becf8a31b18f960123eee6f4bc8497f0e9c7cc3dd0e73",
             "0x1.b6ca8dc23a66dp+2",
             "2ef4db812b38f825d4cb600efa79f399f693f6e17ca01bd78beb2e20a8ae8cb3",
+            "10c4ad78c7eaf0144312ef900cb7b0b9feab0a30b2001496948580b0b369f856",
         ),
     ],
     ids=["2d", "16d", "1d", "matrix"],
 )  # fmt: skip
-def test_run_stream(seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash):
-    assert run_stream_digests(seed, n, dim, k) == (order_hash, t_out_hash, risk_hex, columns_hash)
+def test_run_stream(seed, n, dim, k, order_hash, t_out_hash, risk_hex, columns_hash, log_hash):
+    assert run_stream_digests(seed, n, dim, k) == (order_hash, t_out_hash, risk_hex, columns_hash, log_hash)
 
 
-def run_stream_digests(seed: int, n: int, dim, k: int) -> tuple[str, str, str, str]:
-    """Hashes of the selection order and T_out, the risk of T_out, and a sha256
-    over every copy's `dists`, `slots` (as int64) and `reasons` columns."""
+def run_stream_digests(seed: int, n: int, dim, k: int) -> tuple[str, str, str, str, str]:
+    """Hashes of the selection order and T_out, the risk of T_out, a sha256
+    over every copy's `dists`, `slots` (as int64) and `reasons` columns, and
+    one over the stream's decision log as int64 (index, point, selected) rows."""
     x, perm = blobs(seed, n, 2 if dim == "matrix" else dim, k)
     data = Dataset.from_coords(x)
     if dim == "matrix":
         data = Dataset.from_matrix(data.pairwise(range(n), range(n)))
     schedule = compute_schedule(k, 0.2, n, PROFILES["desk"])
-    result = run_stream(perm, schedule, data, get_solver("local-search", max_iters=20))
+    stream = InstrumentedStream(perm)
+    result = run_stream(stream, schedule, data, get_solver("local-search", max_iters=20))
     columns = hashlib.sha256()
     for rep in result.copy_reports:
         for col in (rep.dists, rep.slots.astype(np.int64), rep.reasons):
@@ -101,6 +113,7 @@ def run_stream_digests(seed: int, n: int, dim, k: int) -> tuple[str, str, str, s
         ids_hash(result.centers.ids),
         risk(range(n), result.centers, data).hex(),
         columns.hexdigest(),
+        ids_hash([(t, rec.point, rec.selected) for t, rec in stream.decision_log]),
     )
 
 
@@ -196,3 +209,10 @@ def test_integer_sizes():
                 sizes = None
             h.update(repr((z, w, sizes)).encode())
     assert h.hexdigest() == "8ebaaa445654e301ac340390d7e49ce4e85d078e441a1c52b4f92f37dc81991c"
+
+
+def test_mixture():
+    """sha256 over the coordinates, labels and means of a small 64-d mixture with outliers."""
+    s = generate_gaussian_mixture(300, 3, 64, 40.0, 0.01, seed=73)
+    parts = (s.dataset.coords.tobytes(), s.labels.tobytes(), s.means.tobytes())
+    assert hashlib.sha256(b"|".join(parts)).hexdigest() == "59e5d1a2e2305cbbdfaea179d5b6355d4730f2d65051f402a7a766589941d5ca"

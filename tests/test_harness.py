@@ -27,6 +27,7 @@ from munsc.harness.bench import run_suite
 from munsc.harness.cli import main as cli_main
 from munsc.harness.experiment import _ratio
 from munsc.harness.validate import CheckResult, check_schedule_examples, naive_distance
+from munsc.stream import StreamRecord
 
 
 class TestMixtureGenerator:
@@ -101,11 +102,11 @@ class TestInstrumentedStream:
     def test_read_then_log_cycle(self):
         st = InstrumentedStream([1, 0, 2])
         assert st.read() == 1
-        st.log_decision(0, "d0")
+        st.log_decision(0, True)
         assert st.read() == 0
-        st.log_decision(1, "d1")
+        st.log_decision(1, np.False_)
         assert st.read() == 2
-        st.log_decision(2, "d2")
+        st.log_decision(2, False)
         assert st.complete and len(st.decision_log) == 3
 
     def test_read_ahead_without_decision_raises(self):
@@ -118,14 +119,40 @@ class TestInstrumentedStream:
         st = InstrumentedStream([0, 1])
         st.read()
         with pytest.raises(StreamProtocolError):
-            st.log_decision(1, "d")
+            st.log_decision(1, False)
 
     def test_exhausted_read_raises(self):
         st = InstrumentedStream([0])
         st.read()
-        st.log_decision(0, "d")
+        st.log_decision(0, False)
         with pytest.raises(StreamProtocolError):
             st.read()
+
+    def test_decision_log_is_a_view(self):
+        order, taken = [3, 1, 0, 2], [True, False, np.True_]
+        st = InstrumentedStream(order)
+        for t in range(3):
+            assert st.decision_log == [(i, StreamRecord(order[i], bool(taken[i]))) for i in range(t)]
+            assert st.read() == order[t]
+            st.log_decision(t, taken[t])
+        expected = [(0, StreamRecord(3, True)), (1, StreamRecord(1, False)), (2, StreamRecord(0, True))]
+        log = st.decision_log
+        assert log == expected and all(type(rec.selected) is bool for _, rec in log)
+        log.clear()
+        log.append((0, StreamRecord(9, False)))
+        assert st.decision_log == expected
+        assert st.read() == 2 and not st.complete
+
+    @pytest.mark.parametrize("bad", ["d", 1, None], ids=["str", "int", "none"])
+    def test_decision_must_be_a_bool(self, bad):
+        st = InstrumentedStream([0, 1])
+        st.read()
+        with pytest.raises(StreamProtocolError):
+            st.log_decision(1, bad)  # the index is checked first
+        with pytest.raises(ContractError, match="^decision for index 0 must be a bool"):
+            st.log_decision(0, bad)
+        st.log_decision(0, True)
+        assert st.decision_log == [(0, StreamRecord(0, True))]
 
     def test_requires_permutation(self):
         with pytest.raises(Exception):
@@ -207,6 +234,15 @@ class TestRunExperiment:
             run_experiment(
                 data, k=2, delta=0.2, profile="nope",
                 solver=local_search_solver(max_iters=10), permutation_seed=0,
+            )
+
+    def test_unknown_oracle_fails_before_streaming(self, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "run_stream", lambda *args: pytest.fail("a point was streamed"))
+        data = Dataset.from_coords(np.zeros((240, 2)))
+        with pytest.raises(ContractError, match="^unknown oracle mode 'nope'$"):
+            run_experiment(
+                data, k=2, delta=0.2, profile="desk",
+                solver=local_search_solver(max_iters=10), permutation_seed=0, oracle="nope",
             )
 
 

@@ -46,6 +46,21 @@ class TestDataset:
         with pytest.raises(ContractError):
             Dataset.from_matrix([[0.0, math.inf], [math.inf, 0.0]])
 
+    def test_rejects_overflowing_span(self):
+        """The squared span sum_t (max_t - min_t)^2 must stay below half the
+        largest float, 8.99e307 (9.48e153 squared), so that no squared
+        distance overflows; how far apart the columns sit does not count."""
+        for bad in ([[0.0, 0.0], [9.5e153, 0.0]], [[0.0, 0.0], [7e153, 7e153]], [[-1e308], [1e308]]):
+            with pytest.raises(ContractError, match="^coordinates span too far"):
+                Dataset.from_coords(bad)
+        with pytest.raises(ContractError, match="^coordinates must be finite$"):
+            Dataset.from_coords([[0.0, 1.0], [0.0, -math.inf]])
+        wide = Dataset.from_coords([[0.0, 0.0], [9.4e153, 0.0]])
+        assert wide.pairwise([0, 1], [0, 1]).tolist() == [[0.0, 9.4e153], [9.4e153, 0.0]]
+        apart = Dataset.from_coords([[1e300, -1e300, 0.0], [1e300, -1e300, 3.0], [1e300, -1e300, 7.0]])
+        assert apart.pairwise([0, 1, 2], [0]).ravel().tolist() == [0.0, 3.0, 7.0]
+        assert Dataset.from_coords(np.empty((3, 0))).pairwise([0], [1, 2]).tolist() == [[0.0, 0.0]]
+
     def test_matrix_validation(self):
         good = [[0.0, 1.0], [1.0, 0.0]]
         assert Dataset.from_matrix(good).mode == "matrix"
@@ -151,14 +166,16 @@ class TestPairwise:
         cols = np.arange(0, 40, 4).repeat(3)  # 30 columns, each id three times
         for pts in (normal, lattice):
             for offset in (0.0, 1e3, 1e6, 1e8):
-                # at 1e-160 the squares underflow, at 1e155 they overflow to inf
-                for scale in (1.0, 1e-160, 1e155):
+                if dim:  # at 1e155 the squares would overflow
+                    with pytest.raises(ContractError, match="^coordinates span too far"):
+                        Dataset.from_coords((pts + offset) * 1e155)
+                # at 1e-160 the squares underflow; 1e152 is the largest power of ten accepted
+                for scale in (1.0, 1e-160, 1e152):
                     x = (pts + offset) * scale
                     ds = Dataset.from_coords(x)
-                    with np.errstate(over="ignore"):
-                        block = ds.pairwise(rows, cols)
-                        twins = ds.pairwise(np.arange(20), np.arange(20, 40))
-                        assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+                    block = ds.pairwise(rows, cols)
+                    twins = ds.pairwise(np.arange(20), np.arange(20, 40))
+                    assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
                     assert np.all(block[rows[:, None] == cols[None, :]] == 0.0)  # d(x, x) = 0
                     if pts is lattice:  # ids i and i + 20 are the same point
                         assert np.all(np.diag(twins) == 0.0)
@@ -211,14 +228,15 @@ class TestPairwise:
         repeated = np.concatenate((unsorted[:30], unsorted[:10]))  # 40 ids, ten of them twice
         other = rng.permutation(40)  # same size as `unsorted`, different order: never mirrored
         for offset in (0.0, 1e6):
-            for scale in (1.0, 1e-160, 1e155):
+            with pytest.raises(ContractError, match="^coordinates span too far"):
+                Dataset.from_coords((pts + offset) * 1e155)
+            for scale in (1.0, 1e-160, 1e152):  # 1e152: the largest power of ten accepted
                 x = (pts + offset) * scale
                 ds = Dataset.from_coords(x)
                 for rows, cols in ((unsorted, unsorted), (repeated, repeated), (unsorted, other)):
                     computed.clear()
-                    with np.errstate(over="ignore"):
-                        block = ds.pairwise(rows, cols)
-                        assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+                    block = ds.pairwise(rows, cols)
+                    assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
                     mirrored = dim >= 8 and rows is cols
                     assert (sum(computed) < 40 * 40) == mirrored
 
@@ -262,12 +280,13 @@ class TestNearestDists:
         ids = np.arange(120)
         for pts in (normal, lattice):
             for offset in (0.0, 1e3, 1e6, 1e8):
-                # at 1e-160 the squares underflow, at 1e155 they overflow
-                for scale in (1.0, 1e-160, 1e155):
+                with pytest.raises(ContractError, match="^coordinates span too far"):
+                    Dataset.from_coords((pts + offset) * 1e155)  # the squares would overflow
+                # at 1e-160 the squares underflow; 1e152 is the largest power of ten accepted
+                for scale in (1.0, 1e-160, 1e152):
                     ds = Dataset.from_coords((pts + offset) * scale)
                     centers = CenterSet.of(rng.choice(120, size=25, replace=False))
-                    with np.errstate(over="ignore"):
-                        assert_kernel_matches_pairwise(ds, ids, centers, monkeypatch)
+                    assert_kernel_matches_pairwise(ds, ids, centers, monkeypatch)
 
     def test_matches_pairwise_across_tiles(self, monkeypatch):
         rng = np.random.default_rng(21)

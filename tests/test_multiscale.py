@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,26 @@ class TestRunStream:
             res = run_stream(perm, s, sample.dataset, local_search_solver(max_iters=30))
             outs.append((res.centers.ids, tuple(r.psi for r in res.copy_reports)))
         assert outs[0] == outs[1]
+
+    def test_keeps_no_object_per_point(self):
+        """A 20,000-point 2-d stream allocates too few lasting objects to start
+        a generation-1 or -2 collection: its decisions are bytes, not records."""
+        rng = np.random.default_rng(20)
+        data = generate_gaussian_mixture(20_000, 3, 2, 30.0, 0.0, seed=20).dataset
+        s = compute_schedule(2, 0.2, 20_000, DESK)
+        started = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            run_stream(rng.permutation(20_000), s, data, local_search_solver(max_iters=30))
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert max(started, default=0) == 0, f"collections by generation: {np.bincount(started).tolist()}"
 
     def test_length_mismatch_rejected(self):
         sample = _tiny_mixture()

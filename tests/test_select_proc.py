@@ -317,18 +317,20 @@ class TestNearestLookup2d:
             assert _nearest_lookup(data, np.arange(m))(m) == (0, math.sqrt(larger))
             self._check(pts, range(m), self._kind(m))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("m", [6, 40])
     def test_overflowing_squares(self, m):
         """Coordinates near 1e154, where the square of a difference can exceed
-        the float range and make a distance inf; a point with every distance
-        inf takes position 0."""
+        the float range, are refused; a quarter of them, just inside the bound,
+        give finite distances that match `pairwise`."""
         rng = np.random.default_rng(m)
         centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2))
         queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]])
         pts = np.concatenate([centers, queries])
-        data = Dataset.from_coords(pts)
-        assert _nearest_lookup(data, np.arange(m))(len(pts) - 1) == (0, math.inf)
+        with pytest.raises(ContractError, match="^coordinates span too far"):
+            Dataset.from_coords(pts)
+        pts /= 4  # a squared span of 7.8e307
+        _, d = _nearest_lookup(Dataset.from_coords(pts), np.arange(m))(len(pts) - 1)
+        assert 6e153 < d < math.inf
         self._check(pts, range(m), self._kind(m))
 
 
