@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, InfeasibleBinDivisionError, PremiseError, _whole
+from .errors import ContractError, InfeasibleBinDivisionError, PremiseError, _real, _whole
 from .metric import CenterSet, Dataset, _point_ids, farthest_order, nearest_dists, risk
 
 __all__ = [
@@ -233,8 +233,7 @@ def tail_risk_bound_holds(div: BinDivision, a_set: Iterable[int], r: float, data
     raises PremiseError rather than returning False. The inequality itself is
     evaluated with 1e-9 relative slack for float noise.
     """
-    if not (0.0 < r < 1.0):
-        raise ContractError("r must lie in (0,1)")
+    r = _real(r, "r", 0.0, 1.0)
     a = set(_point_ids(a_set, data.n).tolist())
     members = div.members
     if not a <= members:

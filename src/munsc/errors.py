@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception types shared across the package, and the one integer and real-number rules."""
 
 import numpy as np
 
@@ -30,8 +30,25 @@ class StreamProtocolError(MunscError):
 def _whole(value, name: str, low: int = 1) -> int:
     """`value` as an int, for every count, size and seed argument: an int or a
     numpy integer of at least `low`; a bool or any float raises ContractError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ContractError(f"{name} must be {'positive' if low == 1 else f'at least {low}'}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, low: float = -np.inf, high: float = np.inf, ends: str = "()") -> float:
+    """`value` as a float, for every real-valued argument: an int, float or numpy
+    number between `low` and `high`, each end open or closed as `ends` says ("()",
+    "(]", "[)", "[]"; an infinite end is open); a bool or NaN raises ContractError."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ContractError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the largest float
+            value = np.inf
+    if not ((low < value or ends[0] == "[" and value == low) and (value < high or ends[1] == "]" and value == high)):
+        raise ContractError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+    return value

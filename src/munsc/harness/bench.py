@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import _whole
+from ..errors import ContractError, _whole
 from ..multiscale import compute_schedule, run_stream
 from ..params import PROFILES, ratio_ceiling
 from ..solvers import local_search_solver
@@ -116,7 +116,7 @@ def run_suite(
         work = [(t, seed + 97 * t) for t in range(trials)]
         rows = [r for batch in _map(jobs, _lemmas_trial, work) for r in batch]
     else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise ContractError(f"unknown suite {suite!r}; choose from {SUITES}")
     return rows
 
 

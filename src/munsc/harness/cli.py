@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--suite", choices=SUITES, required=True)
     b.add_argument("--trials", type=int, default=10)
     b.add_argument("--jobs", type=int, default=1)
-    b.add_argument("--n", type=int, default=240)
-    b.add_argument("--k", type=int, default=2)
+    b.add_argument("--n", type=int, default=240, help="stream length; the centers suite uses max(n, 2000)")
+    b.add_argument("--k", type=int, default=2, help="k; the centers suite runs k = 2, 4 and 8 when k is 2")
     b.add_argument("--delta", type=float, default=0.2)
     b.add_argument("--seed", type=int, default=_default_seed())
     b.add_argument("--out", required=True)

@@ -6,13 +6,12 @@ datasets carry a single `# matrix` header line followed by the square matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, _whole
+from ..errors import ContractError, _real, _whole
 from ..metric import Dataset
 
 __all__ = ["MixtureSample", "generate_gaussian_mixture", "save_dataset", "load_dataset"]
@@ -80,10 +79,8 @@ def generate_gaussian_mixture(
     """
     n, k_true, dim = _whole(n, "n"), _whole(k_true, "k_true"), _whole(dim, "dim")
     seed = _whole(seed, "seed", 0)
-    if not (0.0 <= outlier_fraction <= 0.2):
-        raise ContractError("outlier_fraction must lie in [0, 0.2]")
-    if not (0.0 < separation < math.inf):
-        raise ContractError(f"separation must be positive and finite, got {separation!r}")
+    separation = _real(separation, "separation", 0.0)
+    outlier_fraction = _real(outlier_fraction, "outlier_fraction", 0.0, 0.2, "[]")
 
     rng = np.random.default_rng(seed)
     means = _place_means(rng, k_true, dim, separation)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError, _whole
+from ..errors import ContractError, _real, _whole
 from ..metric import Dataset, risk
 from ..multiscale import MunscResult, compute_schedule, run_stream
 from ..oracle import exact_opt, exact_opt_budget_ok
@@ -26,7 +26,7 @@ ORACLE_MODES = ("auto", "exact", "local-search", "none")
 class CopySummary:
     copy: int
     alpha: float
-    gamma: float
+    gamma: float  # selection window (p3_end - p2_end) / n
     quota: int
     psi: float
     t_alpha_size: int
@@ -102,6 +102,7 @@ def run_experiment(
     (ratio and oracle fields stay null).
     """
     k = _whole(k, "k")
+    delta = _real(delta, "delta", 0.0, 1.0)
     permutation_seed = _whole(permutation_seed, "permutation_seed", 0)
     if oracle not in ORACLE_MODES:
         raise ContractError(f"unknown oracle mode {oracle!r}")
@@ -143,7 +144,7 @@ def run_experiment(
         CopySummary(
             copy=i + 1,
             alpha=rep.config.alpha,
-            gamma=rep.config.gamma,
+            gamma=(rep.config.p3_end - rep.config.p2_end) / data.n,
             quota=rep.config.quota,
             psi=rep.psi,
             t_alpha_size=len(rep.t_alpha),

@@ -65,7 +65,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
                     f"copy {i + 1}: calculation phases clamped from {s} to {s_eff} points"
                 )
             p1, p3 = s_eff, n
-            gamma = 1.0 - 2.0 * a
             quota = None  # the default quota of the enlarged solution size
         else:
             if 2 * s > n:
@@ -75,7 +74,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
             p3 = min(4 * s, n)
             if p3 < 4 * s:
                 warnings.append(f"copy {i + 1}: selection phase clamped to the stream end")
-            gamma = 2.0 * a
             quota = 1
         copies.append(
             SelectProcConfig(
@@ -83,7 +81,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
                 n=n,
                 delta=dprime,
                 alpha=a,
-                gamma=gamma,
                 profile=profile,
                 p1_end=p1,
                 p3_end=p3,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractError, _whole
+from .errors import ContractError, _real, _whole
 
 __all__ = [
     "Profile",
@@ -46,8 +46,8 @@ class Profile:
     c_kplus: float
 
     def __post_init__(self) -> None:
-        if not (self.c_phi > 0 and self.c_kplus > 0):
-            raise ContractError("profile constants must be positive")
+        for name in ("c_phi", "c_kplus"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0))
 
 
 PROFILES: dict[str, Profile] = {
@@ -60,11 +60,12 @@ PROFILES: dict[str, Profile] = {
 PSI_DENOM = 3.0
 
 
-def _check_k_delta(k: int, delta: float, low: int = 1) -> int:
-    k = _whole(k, "k", low)
-    if not (0.0 < delta < 1.0):
-        raise ContractError(f"delta must lie in (0,1), got {delta!r}")
-    return k
+def _quotient(num: float, den: float, name: str) -> float:
+    """num / den, where den shrinks with the argument `name`: one so small
+    that the quotient is no finite float raises ContractError."""
+    if not (den > 0.0 and num / den < math.inf):
+        raise ContractError(f"{name} is too small: {num!r} / {den!r} is no finite float")
+    return num / den
 
 
 def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
@@ -73,31 +74,31 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
     alpha up to 1.0 is accepted; values above 1/6 only make sense in unit
     tests of the formula itself.
     """
-    k = _check_k_delta(k, delta)
-    if not (0.0 < alpha <= 1.0):
-        raise ContractError(f"alpha must lie in (0,1], got {alpha!r}")
-    return profile.c_phi * math.log(32.0 * k / delta) / alpha
+    k = _whole(k, "k")
+    delta = _real(delta, "delta", 0.0, 1.0)
+    alpha = _real(alpha, "alpha", 0.0, 1.0, "(]")
+    return _quotient(profile.c_phi * math.log(_quotient(32.0 * k, delta, "delta")), alpha, "alpha")
 
 
 def k_plus_size(k: int, delta: float, profile: Profile) -> int:
     """Enlarged solution size k + ceil(c_kplus * ln(32k/delta))."""
-    k = _check_k_delta(k, delta)
-    return k + math.ceil(profile.c_kplus * math.log(32.0 * k / delta))
+    k = _whole(k, "k")
+    delta = _real(delta, "delta", 0.0, 1.0)
+    return k + math.ceil(profile.c_kplus * math.log(_quotient(32.0 * k, delta, "delta")))
 
 
 def quota_default(k_plus: int, delta: float) -> int:
     """Per-center selection quota ceil(log2(8 * k_plus / delta)); base-2 log."""
     k_plus = _whole(k_plus, "k_plus")
-    if not (0.0 < delta < 1.0):
-        raise ContractError("delta must lie in (0,1)")
-    return math.ceil(math.log2(8.0 * k_plus / delta))
+    delta = _real(delta, "delta", 0.0, 1.0)
+    return math.ceil(math.log2(_quotient(8.0 * k_plus, delta, "delta")))
 
 
 def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     """Number of largest phase-2 distances discarded: floor(2*alpha*(k+1)*phi)."""
     k = _whole(k, "k")
-    if not (0.0 <= phi < math.inf and 0.0 < alpha < math.inf):
-        raise ContractError(f"truncation needs finite phi >= 0 and alpha > 0, got {phi!r} and {alpha!r}")
+    alpha = _real(alpha, "alpha", 0.0)
+    phi = _real(phi, "phi", 0.0, ends="[)")
     return int(math.floor(2.0 * alpha * (k + 1) * phi))
 
 
@@ -113,6 +114,7 @@ def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) ->
     The count floor(2 alpha (k+1) phi_alpha) hardly depends on alpha, so n
     grows like 1 / alpha.
     """
+    alpha = _real(alpha, "alpha", 0.0, 1.0, "(]")
     drop = psi_truncation_count(k, alpha, phi_alpha(k, delta, alpha, profile))
     n = math.floor(drop / alpha) + 1  # alpha * n > drop in exact arithmetic; rounding may move it by one
     while math.ceil(alpha * n) <= drop:
@@ -125,8 +127,8 @@ def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) ->
 def selection_threshold(psi: float, k: int, tau: float) -> float:
     """Distance threshold psi / (k * tau) deciding 'far' selections."""
     k = _whole(k, "k")
-    if not (psi >= 0 and tau > 0):
-        raise ContractError(f"psi must be nonnegative and tau positive, got psi={psi!r}, tau={tau!r}")
+    psi = _real(psi, "psi", 0.0, ends="[)")
+    tau = _real(tau, "tau", 0.0)
     return psi / (k * tau)
 
 
@@ -142,11 +144,12 @@ class AlphaSchedule:
 
 def alpha_schedule(k: int, delta: float) -> AlphaSchedule:
     """Compute the geometric scale sequence and the per-copy confidence split."""
-    k = _check_k_delta(k, delta, low=2)  # the multiscale schedule needs k >= 2
+    k = _whole(k, "k", 2)  # the multiscale schedule needs k >= 2
+    delta = _real(delta, "delta", 0.0, 1.0)
     alpha_1 = delta / (4.0 * k)
     # Largest I with alpha_1 * 2^I <= 1/6; the 1e-9 guard absorbs float noise
     # when 1/(6*alpha_1) is an exact power of two.
-    doublings = max(0, math.floor(math.log2(1.0 / (6.0 * alpha_1)) + 1e-9))
+    doublings = max(0, math.floor(math.log2(_quotient(1.0, 6.0 * alpha_1, "delta")) + 1e-9))
     alphas = tuple(alpha_1 * (2.0**i) for i in range(doublings + 1))
     delta_prime = delta / (doublings + 1)
     return AlphaSchedule(alpha_1, doublings, alphas, delta_prime)
@@ -162,8 +165,7 @@ class TheoremConstants:
 
 
 def theorem_constants(beta: float) -> TheoremConstants:
-    if not (beta >= 1.0):
-        raise ContractError(f"beta must be >= 1, got {beta!r}")
+    beta = _real(beta, "beta", 1.0, ends="[)")
     small = 36.0 * beta + 20.0
     large = 468.0 * beta + 260.0
     return TheoremConstants(small, large, 1.0 + small + large)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, _whole
+from .errors import ContractError, _real, _whole
 from .metric import CenterSet, Dataset
 from .params import (
     PROFILES,
@@ -46,7 +46,7 @@ __all__ = [
     "finish",
 ]
 
-_RANGE_TOL = 1e-9
+_ALPHA_MAX = 1.0 / 6.0 + 1e-9  # a copy's scale lies in (0, 1/6], with room for float noise
 
 REASONS = ("not_selected", "far", "quota", "near_flag")  # phase-3 codes; 0 passes a point over
 _FAR, _QUOTA, _NEAR_FLAG = 1, 2, 3
@@ -58,28 +58,22 @@ _FAR, _QUOTA, _NEAR_FLAG = 1, 2, 3
 _LOOP_CENTERS = 32
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0 / 6.0 + _RANGE_TOL):
-        raise ContractError(f"alpha must lie in (0, 1/6], got {alpha}")
-
-
 @dataclass(frozen=True)
 class SelectProcConfig:
     """One copy's full configuration, including integer phase boundaries.
 
     The first two phases have equal size (p2_end == 2 * p1_end). Selection
-    happens on indices [p2_end, p3_end); any stream suffix past p3_end is
-    observed but ignored. The scalars fixed by (k, delta, alpha) are derived
-    here once: the size threshold `phi`, the enlarged solution size `k_plus`
-    and the psi truncation count `psi_drop`; so is `p2_end`. `quota` defaults
-    to the quota of `k_plus` and `tau` to `phi`.
+    happens on indices [p2_end, p3_end), the paper's gamma * n points; any
+    stream suffix past p3_end is observed but ignored. The scalars fixed by
+    (k, delta, alpha) are derived here once: the size threshold `phi`, the
+    enlarged solution size `k_plus` and the psi truncation count `psi_drop`;
+    so is `p2_end`. `quota` defaults to the quota of `k_plus` and `tau` to `phi`.
     """
 
     k: int
     n: int
     delta: float
     alpha: float
-    gamma: float
     profile: Profile
     p1_end: int
     p3_end: int
@@ -94,11 +88,8 @@ class SelectProcConfig:
         for name in ("k", "n", "p1_end", "p3_end"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         object.__setattr__(self, "p2_end", 2 * self.p1_end)
-        if not (0.0 < self.delta < 1.0):
-            raise ContractError("delta must lie in (0,1)")
-        _check_alpha(self.alpha)
-        if not (self.alpha < self.gamma <= 1.0 - 2.0 * self.alpha + _RANGE_TOL):
-            raise ContractError(f"gamma must lie in (alpha, 1-2*alpha], got {self.gamma}")
+        object.__setattr__(self, "delta", _real(self.delta, "delta", 0.0, 1.0))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0.0, _ALPHA_MAX, "(]"))
         if not (self.p2_end <= self.p3_end <= self.n):
             raise ContractError(f"phase boundaries need 2*p1 <= p3 <= n, got {self.p1_end}, {self.p3_end}, {self.n}")
         phi = phi_alpha(self.k, self.delta, self.alpha, self.profile)
@@ -108,10 +99,7 @@ class SelectProcConfig:
         object.__setattr__(self, "psi_drop", psi_truncation_count(self.k, self.alpha, phi))
         quota = quota_default(k_plus, self.delta) if self.quota is None else self.quota
         object.__setattr__(self, "quota", _whole(quota, "quota"))
-        if self.tau is None:
-            object.__setattr__(self, "tau", phi)
-        if not (self.tau > 0):
-            raise ContractError(f"tau must be positive, got {self.tau!r}")
+        object.__setattr__(self, "tau", phi if self.tau is None else _real(self.tau, "tau", 0.0))
 
 
 def make_config(
@@ -121,16 +109,15 @@ def make_config(
     alpha: float,
     profile: Profile = PROFILES["paper"],
 ) -> SelectProcConfig:
-    """Standalone configuration of a full-stream copy: gamma = 1 - 2*alpha
-    (read everything); quota and tau default as in SelectProcConfig."""
+    """Standalone configuration of a full-stream copy, selecting from 2*p1_end
+    to the end of the stream; quota and tau default as in SelectProcConfig."""
     n = _whole(n, "n")
-    _check_alpha(alpha)  # before ceil(alpha * n), which a NaN or infinite alpha breaks
+    alpha = _real(alpha, "alpha", 0.0, _ALPHA_MAX, "(]")  # before ceil(alpha * n)
     return SelectProcConfig(
         k=k,
         n=n,
         delta=delta,
         alpha=alpha,
-        gamma=1.0 - 2.0 * alpha,
         profile=profile,
         p1_end=ceil(alpha * n),
         p3_end=n,

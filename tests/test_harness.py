@@ -309,8 +309,8 @@ class TestCli:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command, env_seed, message", [
-        (["gen", "--n", "50", "--separation", "nan"], None, "separation must be positive and finite, got nan"),
-        (["gen", "--n", "50", "--separation", "inf"], None, "separation must be positive and finite, got inf"),
+        (["gen", "--n", "50", "--separation", "nan"], None, "separation must lie in (0, inf), got nan"),
+        (["gen", "--n", "50", "--separation", "inf"], None, "separation must lie in (0, inf), got inf"),
         (["gen", "--n", "50", "--seed", "-1"], None, "seed must be at least 0, got -1"),
         (["gen", "--n", "50"], "-1", "seed must be at least 0, got -1"),
         (["run", "--data", "DATA", "--k", "2", "--perm-seed", "-1"], None, "permutation_seed must be at least 0, got -1"),
@@ -363,6 +363,10 @@ class TestCli:
         serial = run_suite("ratio", trials=2, jobs=1)
         assert run_suite("ratio", trials=2, jobs=2) == serial
         assert [row["trial"] for row in serial] == [0, 1]
+
+    def test_unknown_suite_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="^unknown suite 'nope'; choose from"):
+            run_suite("nope", trials=1, jobs=1)
 
     def test_env_seed_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MUNSC_SEED", "17")

@@ -1,5 +1,5 @@
 """The one integer rule at every public entry that takes a count, size or seed,
-and the real-valued bounds that NaN must fail."""
+and the one real-number rule at every entry that takes a real."""
 
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ from munsc import (
     ratio_ceiling,
     sandwich_report,
     selection_threshold,
+    tail_risk_bound_holds,
+    theorem_constants,
     solve_exhaustive,
     solve_local_search,
     truncated_risk,
@@ -49,13 +51,13 @@ REF = CenterSet.of([3, 17])
 
 
 def _config(**over) -> SelectProcConfig:
-    args = dict(k=2, n=1000, delta=0.2, alpha=0.05, gamma=0.9, profile=DESK, p1_end=50, p3_end=1000, quota=3)
+    args = dict(k=2, n=1000, delta=0.2, alpha=0.05, profile=DESK, p1_end=50, p3_end=1000, quota=3)
     return SelectProcConfig(**{**args, **over})
 
 
 def _report(**over) -> str:
-    args = dict(k=2, delta=0.2, profile="desk", solver=local_search_solver(20), permutation_seed=1, oracle="exact")
-    return dataclasses.replace(run_experiment(DATA, **{**args, **over}), wall_time_s=0.0).to_json()
+    args = dict(data=DATA, k=2, delta=0.2, profile="desk", solver=local_search_solver(20), permutation_seed=1, oracle="exact")
+    return dataclasses.replace(run_experiment(**{**args, **over}), wall_time_s=0.0).to_json()
 
 
 def _mixture(**over) -> tuple[bytes, bytes, bytes]:
@@ -144,25 +146,118 @@ def test_fields_come_back_as_int():
 
 
 NAN, INF = math.nan, math.inf
-NAN_BOUNDS = {
-    "ratio_ceiling(nan)": lambda: ratio_ceiling(NAN),
-    "selection_threshold(psi=nan)": lambda: selection_threshold(NAN, 2, 1.0),
-    "selection_threshold(tau=nan)": lambda: selection_threshold(1.0, 2, NAN),
-    "SelectProcConfig(tau=nan)": lambda: _config(tau=NAN),
-    "Profile(c_phi=nan)": lambda: Profile("x", NAN, 2.0),
-    "Profile(c_kplus=nan)": lambda: Profile("x", 5.0, NAN),
-    "psi_truncation_count(alpha=nan)": lambda: psi_truncation_count(2, NAN, 10.0),
-    "psi_truncation_count(phi=nan)": lambda: psi_truncation_count(2, 0.05, NAN),
-    "psi_truncation_count(alpha=inf)": lambda: psi_truncation_count(2, INF, 10.0),
-    "psi_truncation_count(phi=inf)": lambda: psi_truncation_count(2, 0.05, INF),
-    "make_config(alpha=nan)": lambda: make_config(2, 1000, 0.2, NAN),
-    "make_config(alpha=inf)": lambda: make_config(2, 1000, 0.2, INF),
-    "generate_gaussian_mixture(separation=nan)": lambda: _mixture(separation=NAN),
-    "generate_gaussian_mixture(separation=inf)": lambda: _mixture(separation=INF),
+DIV = build_division(IDS, REF, 3, DATA)
+A = DIV.bins[1][:1]
+
+# call with a {} for the real under test: (a valid value, an out-of-bound value, the call)
+REALS = {
+    "Profile(c_phi={})": (5.0, 0.0, lambda v: Profile("x", v, 2.0)),
+    "Profile(c_kplus={})": (2.0, -1.0, lambda v: Profile("x", 5.0, v)),
+    "phi_alpha(delta={})": (0.2, 1.0, lambda v: phi_alpha(2, v, 0.05, DESK)),
+    "phi_alpha(alpha={})": (0.05, 1.5, lambda v: phi_alpha(2, 0.2, v, DESK)),
+    "k_plus_size(delta={})": (0.2, 0.0, lambda v: k_plus_size(2, v, DESK)),
+    "quota_default(delta={})": (0.2, 1.0, lambda v: quota_default(9, v)),
+    "alpha_schedule(delta={})": (0.2, 1.0, lambda v: alpha_schedule(2, v)),
+    "min_nondegenerate_n(delta={})": (0.2, 1.0, lambda v: min_nondegenerate_n(2, v, 0.025, DESK)),
+    "min_nondegenerate_n(alpha={})": (0.025, 2.0, lambda v: min_nondegenerate_n(2, 0.2, v, DESK)),
+    "psi_truncation_count(alpha={})": (0.05, 0.0, lambda v: psi_truncation_count(2, v, 40.0)),
+    "psi_truncation_count(phi={})": (40.0, -1.0, lambda v: psi_truncation_count(2, 0.05, v)),
+    "selection_threshold(psi={})": (3.0, -1.0, lambda v: selection_threshold(v, 2, 7.0)),
+    "selection_threshold(tau={})": (7.0, 0.0, lambda v: selection_threshold(3.0, 2, v)),
+    "theorem_constants({})": (5.0, 0.5, theorem_constants),
+    "ratio_ceiling({})": (5.0, 0.5, ratio_ceiling),
+    "SelectProcConfig(delta={})": (0.2, 1.0, lambda v: _config(delta=v)),
+    "SelectProcConfig(alpha={})": (0.05, 0.2, lambda v: _config(alpha=v)),
+    "SelectProcConfig(tau={})": (7.0, 0.0, lambda v: _config(tau=v)),
+    "make_config(delta={})": (0.2, 1.0, lambda v: make_config(2, 1000, v, 0.05, DESK)),
+    "make_config(alpha={})": (0.05, 0.2, lambda v: make_config(2, 1000, 0.2, v, DESK)),
+    "compute_schedule(delta={})": (0.2, 1.0, lambda v: compute_schedule(2, v, 2000, DESK)),
+    "sandwich_report(delta={})": (0.2, 1.0, lambda v: sandwich_report(1000, 2, v, 0.05, DESK)),
+    "sandwich_report(alpha={})": (0.05, 0.2, lambda v: sandwich_report(1000, 2, 0.2, v, DESK)),
+    "psi_sandwich_frequency(delta={})": (0.2, 1.0, lambda v: psi_sandwich_frequency(DATA, 2, v, 0.1, 1, 0)),
+    "psi_sandwich_frequency(alpha={})": (0.1, 0.2, lambda v: psi_sandwich_frequency(DATA, 2, 0.2, v, 1, 0)),
+    "tail_risk_bound_holds(r={})": (0.5, 1.0, lambda v: tail_risk_bound_holds(DIV, A, v, DATA)),
+    "generate_gaussian_mixture(separation={})": (20.0, 0.0, lambda v: _mixture(separation=v)),
+    "generate_gaussian_mixture(outlier_fraction={})": (0.1, 0.25, lambda v: _mixture(outlier_fraction=v)),
+    "run_experiment(delta={})": (0.2, 1.0, lambda v: _report(delta=v)),
 }
+NAN_BOUNDS = {call.format(bad): (REALS[call][2], bad) for call in REALS for bad in (NAN, INF, -INF)}
+NON_REALS = {
+    call.format(repr(bad)): (REALS[call][2], bad)
+    for call in REALS
+    for bad in ("0.2", None, 0.2j, True)
+    if not (bad is None and call == "SelectProcConfig(tau={})")  # None asks for the default tau
+}
+OUT_OF_BOUNDS = {call.format(REALS[call][1]): (REALS[call][2], REALS[call][1]) for call in REALS}
+
+
+def _one_line_contract_error(call, bad) -> None:
+    with pytest.raises(ContractError) as info:
+        call(bad)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("case", NAN_BOUNDS)
 def test_real_bound_fails_nan_and_inf(case):
-    with pytest.raises(ContractError):
-        NAN_BOUNDS[case]()
+    _one_line_contract_error(*NAN_BOUNDS[case])
+
+
+@pytest.mark.parametrize("case", NON_REALS)
+def test_real_entry_rejects_non_reals(case):
+    """A str, None, a complex and a bool are refused, not turned into raw errors or numbers."""
+    _one_line_contract_error(*NON_REALS[case])
+
+
+@pytest.mark.parametrize("case", OUT_OF_BOUNDS)
+def test_real_entry_rejects_out_of_bound(case):
+    _one_line_contract_error(*OUT_OF_BOUNDS[case])
+
+
+def test_int_past_the_floats_is_out_of_bound():
+    _one_line_contract_error(theorem_constants, 10**400)
+
+
+@pytest.mark.parametrize("call", REALS)
+def test_real_entry_takes_numpy_numbers(call):
+    """A numpy float gives the output of the Python float of the same value,
+    an integral value as an int or numpy integer too; the reprs would differ if
+    a numpy scalar reached the output."""
+    valid, _, fn = REALS[call]
+    assert repr(fn(np.float64(valid))) == repr(fn(valid))
+    assert repr(fn(np.float32(valid))) == repr(fn(float(np.float32(valid))))
+    if valid == int(valid):
+        assert repr(fn(np.int64(valid))) == repr(fn(int(valid))) == repr(fn(valid))
+
+
+def test_reals_are_stored_as_float():
+    f = np.float32
+    sched = compute_schedule(2, f(0.2), 2000, DESK)
+    configs = (make_config(2, 1000, f(0.2), f(0.05), DESK), _config(delta=f(0.2), alpha=f(0.05), tau=f(7.0)), *sched.copies)
+    values = [getattr(c, name) for c in configs for name in ("delta", "alpha", "phi", "tau")]
+    values += [sched.delta_prime, sched.tau, *dataclasses.astuple(Profile("x", f(5.0), np.int64(2)))[1:]]
+    ladder = alpha_schedule(2, f(0.2))
+    values += [ladder.alpha_1, ladder.delta_prime, *ladder.alphas, *dataclasses.astuple(theorem_constants(np.int64(5)))]
+    rep = run_experiment(DATA, 2, f(0.2), "desk", local_search_solver(20), 1, "exact")
+    values += [rep.delta, rep.solver_beta, *(v for c in rep.copies for v in (c.alpha, c.gamma, c.psi))]
+    assert all(type(v) is float for v in values)
+
+
+def test_float32_delta_report_serializes():
+    assert json.loads(_report(delta=np.float32(0.2)))["delta"] == float(np.float32(0.2))
+
+
+def test_copy_gamma_is_its_window_fraction():
+    """Each copy reports the fraction of the stream it selects from, also
+    when the short stream clamps its phases."""
+    rep = json.loads(_report(data=Dataset.from_coords(DATA.coords[:6])))
+    assert any("clamped" in w for w in rep["warnings"])
+    for c in rep["copies"]:
+        _, p2, p3 = c["phase_bounds"]
+        assert c["gamma"] == (p3 - p2) / 6
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-307, 8e-303, 5e-324])
+def test_tiny_delta_is_a_contract_error(delta):
+    """A delta inside (0, 1) too small for the schedule's floats names delta."""
+    with pytest.raises(ContractError, match="^delta is too small"):
+        compute_schedule(2, delta, 100)

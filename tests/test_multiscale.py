@@ -38,16 +38,15 @@ class TestSchedule:
         assert s.doublings == 0 and len(s.copies) == 1
         c = s.copies[0]
         assert (c.p1_end, c.p2_end, c.p3_end) == (113, 226, 1000)
-        assert c.gamma == pytest.approx(0.775)
         assert c.quota > 1  # the only copy is the last copy
 
     def test_copy_parameters(self):
         s = compute_schedule(2, 0.1, 1200, PAPER)
         for c in s.copies[:-1]:
             assert c.quota == 1
-            assert c.gamma == pytest.approx(2 * c.alpha)
+            assert c.p3_end - c.p2_end == 2 * c.p1_end  # the paper's gamma = 2 * alpha
         last = s.copies[-1]
-        assert last.gamma == pytest.approx(1 - 2 * last.alpha)
+        assert last.p3_end == s.n  # the last copy reads to the end of the stream
         assert last.quota >= 2
         assert all(c.tau == s.tau for c in s.copies)
         assert all(c.delta == pytest.approx(0.025) for c in s.copies)

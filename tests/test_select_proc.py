@@ -49,9 +49,9 @@ class TestDeriveParameters:
 
     def test_derived_scalars_are_read_only(self):
         with pytest.raises(TypeError):
-            SelectProcConfig(k=2, n=100, delta=0.1, alpha=0.1, gamma=0.8, profile=PAPER,
+            SelectProcConfig(k=2, n=100, delta=0.1, alpha=0.1, profile=PAPER,
                              p1_end=10, p3_end=100, phi=1.0)
-        cfg = SelectProcConfig(k=2, n=1000, delta=0.1, alpha=0.1, gamma=0.8, profile=PAPER,
+        cfg = SelectProcConfig(k=2, n=1000, delta=0.1, alpha=0.1, profile=PAPER,
                                p1_end=100, p3_end=1000, quota=3, tau=2.5)
         assert (cfg.quota, cfg.tau, cfg.p2_end) == (3, 2.5, 200)
         with pytest.raises(AttributeError):
@@ -66,7 +66,6 @@ class TestConfig:
     def test_make_config_defaults(self):
         cfg = make_config(2, 1200, 0.2, 0.1, DESK)
         assert cfg.p1_end == 120 and cfg.p2_end == 240 and cfg.p3_end == 1200
-        assert cfg.gamma == pytest.approx(0.8)
         assert cfg.tau == pytest.approx(phi_alpha(2, 0.2, 0.1, DESK))
 
     def test_stream_too_short(self):
@@ -83,7 +82,7 @@ def _truth_table_state():
     """
     coords = [[0.0], [100.0], [50.0], [60.0], [1.0], [2.0], [10.0], [104.0], [102.0], [101.0], [0.5]]
     data = Dataset.from_coords(coords)
-    cfg = SelectProcConfig(k=2, n=11, delta=0.5, alpha=1.0 / 6.0, gamma=1.0 - 2.0 / 6.0, profile=DESK,
+    cfg = SelectProcConfig(k=2, n=11, delta=0.5, alpha=1.0 / 6.0, profile=DESK,
                            p1_end=2, p3_end=11, quota=1, tau=1.0)
     state = SelectProcState(cfg)
     solver = exhaustive_solver()
@@ -165,7 +164,7 @@ class TestPhases:
     def test_suffix_ignored(self):
         coords = [[float(i)] for i in range(12)]
         data = Dataset.from_coords(coords)
-        cfg = SelectProcConfig(k=2, n=12, delta=0.5, alpha=1.0 / 6.0, gamma=0.25, profile=DESK, p1_end=2, p3_end=7)
+        cfg = SelectProcConfig(k=2, n=12, delta=0.5, alpha=1.0 / 6.0, profile=DESK, p1_end=2, p3_end=7)
         state = SelectProcState(cfg)
         selected = [observe(state, x, data, exhaustive_solver()) for x in range(12)]
         assert cfg.p3_end < 12
