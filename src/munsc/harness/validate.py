@@ -108,7 +108,7 @@ def check_no_substitution_and_quota() -> CheckResult:
     them selected."""
     solver = local_search_solver(max_iters=50)
     runs = [
-        (generate_gaussian_mixture(2600, 3, 2, 25.0, 0.02, seed=11).dataset, 2, 0.2, (0, 1)),
+        (generate_gaussian_mixture(2600, 3, 2, 25.0, 0.02, seed=11).dataset, 2, 0.2, (0, 1, 2)),
         (generate_gaussian_mixture(1500, 2, 2, 30.0, 0.0, seed=12).dataset, 3, 0.2, (0,)),
     ]
     observe_calls = 0
@@ -122,9 +122,9 @@ def check_no_substitution_and_quota() -> CheckResult:
             result = run_stream(stream, schedule, data, solver)
             if not stream.complete or len(stream.decision_log) != data.n:
                 return CheckResult("no_substitution_and_quota", False, "incomplete decision log")
-            observe_calls += data.n * len(schedule.copies)
             completed += 1
             for rep in result.copy_reports:
+                observe_calls += rep.config.p1_end + len(rep.dists)  # one call per point the copy buffered or recorded
                 for seen, picked in zip(rep.observed_per_center, rep.selected_per_center):
                     if seen >= rep.config.quota and picked < rep.config.quota:
                         quota_bad += 1

@@ -27,15 +27,12 @@ class Schedule:
     """Copy configurations plus the shared schedule arithmetic."""
 
     copies: tuple[SelectProcConfig, ...]
+    n: int  # the stream length
     doublings: int  # I; I+1 scales before any copy is dropped for size
     delta_prime: float
     s1: int
     tau: float
     warnings: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return self.copies[0].n
 
 
 def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["paper"]) -> Schedule:
@@ -78,7 +75,6 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
         copies.append(
             SelectProcConfig(
                 k=k,
-                n=n,
                 delta=dprime,
                 alpha=a,
                 profile=profile,
@@ -90,6 +86,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
         )
     return Schedule(
         copies=tuple(copies),
+        n=n,
         doublings=sched.doublings,
         delta_prime=dprime,
         s1=s1,
@@ -110,11 +107,11 @@ class MunscResult:
 
 
 def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> MunscResult:
-    """Feed every stream point to every copy, in copy order, one point at a time.
-
-    `stream` is either an InstrumentedStream or a plain permutation of
-    range(n); plain sequences are wrapped so the one-decision-per-point
-    discipline is always enforced.
+    """Feed each stream point, one at a time, to every copy whose window
+    [0, p3_end) is open, in copy order; a point no open copy takes is logged
+    as not selected. `stream` is either an InstrumentedStream or a plain
+    permutation of range(n); plain sequences are wrapped so the
+    one-decision-per-point discipline is always enforced.
     """
     st = stream if isinstance(stream, InstrumentedStream) else InstrumentedStream(stream)
     n = schedule.n
@@ -122,16 +119,22 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
         raise ContractError(f"stream length {st.n} does not match schedule length {n}")
     if data.n != n:
         raise ContractError(f"dataset size {data.n} does not match schedule length {n}")
+    for i, cfg in enumerate(schedule.copies):
+        if cfg.p3_end > n:
+            raise ContractError(f"copy {i + 1}: window of {cfg.p3_end} points exceeds the stream length {n}")
 
     states = [SelectProcState(cfg) for cfg in schedule.copies]
+    live, closes = states, 0  # the copies whose window is open, and the next index at which one closes
     selection_order: list[int] = []
     read, log_decision = st.read, st.log_decision  # bound once: the loop runs n times
     for t in range(n):
+        if t == closes:
+            live = [s for s in live if s.config.p3_end > t]
+            closes = min((s.config.p3_end for s in live), default=n)
         x = read()
         selected = False
-        for state in states:
-            if observe(state, x, data, solver):
-                selected = True
+        for state in live:
+            selected |= observe(state, x, data, solver)
         if selected:  # a permutation reads each point once
             selection_order.append(x)
         log_decision(t, selected)

@@ -74,9 +74,9 @@ def sandwich_report(n: int, k: int, delta: float, alpha: float, profile: Profile
         "psi_degenerate": cfg.psi_drop >= p1,
         "min_nondegenerate_n": min_nondegenerate_n(k, delta, alpha, profile),
         "upper_truncation": r_upper,
-        "upper_vacuous": r_upper >= cfg.n,
+        "upper_vacuous": r_upper >= cfg.p3_end,
         "lower_truncation": r_lower,
-        "lower_vacuous": r_lower >= cfg.n - p1,
+        "lower_vacuous": r_lower >= cfg.p3_end - p1,
     }
 
 

@@ -99,7 +99,7 @@ def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     k = _whole(k, "k")
     alpha = _real(alpha, "alpha", 0.0)
     phi = _real(phi, "phi", 0.0, ends="[)")
-    return int(math.floor(2.0 * alpha * (k + 1) * phi))
+    return math.floor(_real(2.0 * alpha * (k + 1) * phi, "2*alpha*(k+1)*phi", 0.0, ends="[)"))
 
 
 def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) -> int:
@@ -129,7 +129,7 @@ def selection_threshold(psi: float, k: int, tau: float) -> float:
     k = _whole(k, "k")
     psi = _real(psi, "psi", 0.0, ends="[)")
     tau = _real(tau, "tau", 0.0)
-    return psi / (k * tau)
+    return _quotient(psi, k * tau, "tau")
 
 
 @dataclass(frozen=True)

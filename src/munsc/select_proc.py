@@ -63,15 +63,14 @@ class SelectProcConfig:
     """One copy's full configuration, including integer phase boundaries.
 
     The first two phases have equal size (p2_end == 2 * p1_end). Selection
-    happens on indices [p2_end, p3_end), the paper's gamma * n points; any
-    stream suffix past p3_end is observed but ignored. The scalars fixed by
+    happens on indices [p2_end, p3_end), the paper's gamma * n points, and
+    the copy observes exactly its window [0, p3_end). The scalars fixed by
     (k, delta, alpha) are derived here once: the size threshold `phi`, the
     enlarged solution size `k_plus` and the psi truncation count `psi_drop`;
     so is `p2_end`. `quota` defaults to the quota of `k_plus` and `tau` to `phi`.
     """
 
     k: int
-    n: int
     delta: float
     alpha: float
     profile: Profile
@@ -85,13 +84,13 @@ class SelectProcConfig:
     p2_end: int = field(init=False)  # a field, not a property: `observe` reads it per point
 
     def __post_init__(self) -> None:
-        for name in ("k", "n", "p1_end", "p3_end"):
+        for name in ("k", "p1_end", "p3_end"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         object.__setattr__(self, "p2_end", 2 * self.p1_end)
         object.__setattr__(self, "delta", _real(self.delta, "delta", 0.0, 1.0))
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0.0, _ALPHA_MAX, "(]"))
-        if not (self.p2_end <= self.p3_end <= self.n):
-            raise ContractError(f"phase boundaries need 2*p1 <= p3 <= n, got {self.p1_end}, {self.p3_end}, {self.n}")
+        if not self.p2_end <= self.p3_end:
+            raise ContractError(f"phase boundaries need 2*p1 <= p3, got {self.p1_end}, {self.p3_end}")
         phi = phi_alpha(self.k, self.delta, self.alpha, self.profile)
         k_plus = k_plus_size(self.k, self.delta, self.profile)
         object.__setattr__(self, "phi", phi)
@@ -115,7 +114,6 @@ def make_config(
     alpha = _real(alpha, "alpha", 0.0, _ALPHA_MAX, "(]")  # before ceil(alpha * n)
     return SelectProcConfig(
         k=k,
-        n=n,
         delta=delta,
         alpha=alpha,
         profile=profile,
@@ -241,7 +239,7 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bo
 
     The solver is invoked exactly once, when the last phase-1 point arrives.
     Raises ContractError for a point id that is not an integer in
-    [0, data.n), and when called after the stream is exhausted.
+    [0, data.n), and when called after the copy's window [0, p3_end) closed.
     """
     if type(x) is not int:  # the common case skips the general integer rule
         x = _whole(x, "point id", 0)
@@ -249,16 +247,14 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bo
         raise ContractError(f"point id {x} out of range for a dataset of {data.n} points")
     c = state.config
     idx = state.count
-    if idx >= c.n:
-        raise ContractError("observe called after the full stream was consumed")
+    if idx >= c.p3_end:
+        raise ContractError(f"observe called after the copy's window of {c.p3_end} points closed")
     state.count = idx + 1
 
     if idx < c.p1_end:
         state.buffer_p1.append(x)
         if idx == c.p1_end - 1:
             state._finish_phase1(data, solver)
-        return False
-    if idx >= c.p3_end:
         return False
 
     pos, d = state._nearest_ref(x)
@@ -287,9 +283,9 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bo
 
 
 def finish(state: SelectProcState) -> SelectProcReport:
-    """Freeze the copy's outcome once the whole stream has been observed."""
-    if state.count != state.config.n:
-        raise ContractError(f"finish called after {state.count} of {state.config.n} points")
+    """Freeze the copy's outcome once its whole window [0, p3_end) has been observed."""
+    if state.count != state.config.p3_end:
+        raise ContractError(f"finish called after {state.count} of {state.config.p3_end} points")
     assert state.t_alpha is not None and state.psi is not None
     dists, slots, reasons = (np.array(col) for col in (state.dists, state.slots, state.reasons))
     for col in (dists, slots, reasons):

@@ -51,7 +51,7 @@ REF = CenterSet.of([3, 17])
 
 
 def _config(**over) -> SelectProcConfig:
-    args = dict(k=2, n=1000, delta=0.2, alpha=0.05, profile=DESK, p1_end=50, p3_end=1000, quota=3)
+    args = dict(k=2, delta=0.2, alpha=0.05, profile=DESK, p1_end=50, p3_end=1000, quota=3)
     return SelectProcConfig(**{**args, **over})
 
 
@@ -94,7 +94,6 @@ ENTRIES = {
     "exact_opt_budget_ok.m": (1, 240, lambda v: exact_opt_budget_ok(v, 2)),
     "exact_opt_budget_ok.k": (1, 2, lambda v: exact_opt_budget_ok(240, v)),
     "SelectProcConfig.k": (1, 2, lambda v: _config(k=v)),
-    "SelectProcConfig.n": (1, 1000, lambda v: _config(n=v)),
     "SelectProcConfig.p1_end": (1, 50, lambda v: _config(p1_end=v)),
     "SelectProcConfig.p3_end": (1, 1000, lambda v: _config(p3_end=v)),
     "SelectProcConfig.quota": (1, 3, lambda v: _config(quota=v)),
@@ -136,8 +135,8 @@ def test_entry_takes_numpy_integers(entry):
 def test_fields_come_back_as_int():
     i = np.int64
     sched = compute_schedule(i(2), 0.2, i(2000), DESK)
-    configs = (make_config(i(2), i(1000), 0.2, 0.05, DESK), _config(k=i(2), n=i(900), p1_end=i(40), p3_end=i(800)), *sched.copies)
-    values = [getattr(c, f) for c in configs for f in ("k", "n", "p1_end", "p2_end", "p3_end", "quota", "k_plus", "psi_drop")]
+    configs = (make_config(i(2), i(1000), 0.2, 0.05, DESK), _config(k=i(2), p1_end=i(40), p3_end=i(800)), *sched.copies)
+    values = [getattr(c, f) for c in configs for f in ("k", "p1_end", "p2_end", "p3_end", "quota", "k_plus", "psi_drop")]
     values += [sched.n, sched.s1, sched.doublings, build_division(IDS, REF, i(3), DATA).z]
     rep = json.loads(_report(k=i(2), permutation_seed=i(1)))
     values += [rep["n"], rep["k"], rep["permutation_seed"], rep["t_out_size"], *rep["t_out"]]
@@ -164,6 +163,8 @@ REALS = {
     "psi_truncation_count(phi={})": (40.0, -1.0, lambda v: psi_truncation_count(2, 0.05, v)),
     "selection_threshold(psi={})": (3.0, -1.0, lambda v: selection_threshold(v, 2, 7.0)),
     "selection_threshold(tau={})": (7.0, 0.0, lambda v: selection_threshold(3.0, 2, v)),
+    "psi_truncation_count(alpha=1e10, phi={})": (40.0, 1e308, lambda v: psi_truncation_count(2, 1e10, v)),
+    "selection_threshold(psi={}, tau=1e-10)": (3.0, 1e300, lambda v: selection_threshold(v, 2, 1e-10)),
     "theorem_constants({})": (5.0, 0.5, theorem_constants),
     "ratio_ceiling({})": (5.0, 0.5, ratio_ceiling),
     "SelectProcConfig(delta={})": (0.2, 1.0, lambda v: _config(delta=v)),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
+import munsc.multiscale as multiscale
 from munsc import (
     ContractError,
     InstrumentedStream,
@@ -13,6 +15,7 @@ from munsc import (
     compute_schedule,
     exact_opt,
     local_search_solver,
+    observe,
     risk,
     run_stream,
 )
@@ -209,3 +212,62 @@ class TestRunStream:
         bad = np.zeros(240, dtype=int)
         with pytest.raises(ContractError):
             run_stream(bad, s, sample.dataset, local_search_solver())
+
+
+def _spied_run(monkeypatch, schedule, data):
+    """Run `schedule` over a random order of `data` with a spy on the
+    `observe` that `run_stream` calls; return the calls per copy in copy
+    order, the stream and the result."""
+    calls = {}
+
+    def spy(state, x, data, solver):
+        calls[state] = calls.get(state, 0) + 1
+        return observe(state, x, data, solver)
+
+    monkeypatch.setattr(multiscale, "observe", spy)
+    stream = InstrumentedStream(np.random.default_rng(0).permutation(data.n))
+    res = run_stream(stream, schedule, data, local_search_solver(max_iters=30))
+    assert [state.config for state in calls] == list(schedule.copies)
+    return list(calls.values()), stream, res
+
+
+class TestWindowRule:
+    """Inside `run_stream` a copy lives for its window: it observes exactly
+    its first p3_end points and is not called after."""
+
+    @pytest.mark.parametrize(
+        "delta,n,warned",
+        [
+            (0.2, 240, ()),
+            (0.1, 7, ("copy 3 dropped", "copy 4: calculation phases clamped")),
+            (0.1, 13, ("copy 3: selection phase clamped",)),
+        ],
+        ids=["default-ladder", "dropped-and-clamped-last", "selection-clamped"],
+    )
+    def test_each_copy_observes_its_window(self, monkeypatch, delta, n, warned):
+        s = compute_schedule(2, delta, n, DESK)
+        assert all(any(w.startswith(prefix) for w in s.warnings) for prefix in warned)
+        assert s.copies[-1].p3_end == n and any(c.p3_end < n for c in s.copies)
+        data = generate_gaussian_mixture(n, 2, 2, 30.0, 0.0, seed=n).dataset
+        calls, stream, _ = _spied_run(monkeypatch, s, data)
+        assert calls == [c.p3_end for c in s.copies]
+        assert stream.complete
+
+    def test_points_past_every_window_are_not_selected(self, monkeypatch):
+        full = compute_schedule(2, 0.2, 240, DESK)
+        s = dataclasses.replace(full, copies=full.copies[:-1])
+        end = max(c.p3_end for c in s.copies)
+        assert end < s.n
+        calls, stream, res = _spied_run(monkeypatch, s, _tiny_mixture().dataset)
+        assert calls == [c.p3_end for c in s.copies]
+        assert stream.complete
+        assert res.selection_order
+        assert not any(record.selected for t, record in stream.decision_log if t >= end)
+
+    def test_window_past_the_stream_rejected_before_the_first_read(self):
+        full = compute_schedule(2, 0.2, 240, DESK)
+        s = dataclasses.replace(full, copies=(*full.copies[:-1], dataclasses.replace(full.copies[-1], p3_end=241)))
+        stream = InstrumentedStream(np.random.default_rng(0).permutation(240))
+        with pytest.raises(ContractError, match=f"^copy {len(s.copies)}: window of 241 points exceeds the stream length 240$"):
+            run_stream(stream, s, _tiny_mixture().dataset, local_search_solver())
+        assert stream.reads == 0

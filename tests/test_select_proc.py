@@ -49,9 +49,9 @@ class TestDeriveParameters:
 
     def test_derived_scalars_are_read_only(self):
         with pytest.raises(TypeError):
-            SelectProcConfig(k=2, n=100, delta=0.1, alpha=0.1, profile=PAPER,
+            SelectProcConfig(k=2, delta=0.1, alpha=0.1, profile=PAPER,
                              p1_end=10, p3_end=100, phi=1.0)
-        cfg = SelectProcConfig(k=2, n=1000, delta=0.1, alpha=0.1, profile=PAPER,
+        cfg = SelectProcConfig(k=2, delta=0.1, alpha=0.1, profile=PAPER,
                                p1_end=100, p3_end=1000, quota=3, tau=2.5)
         assert (cfg.quota, cfg.tau, cfg.p2_end) == (3, 2.5, 200)
         with pytest.raises(AttributeError):
@@ -69,7 +69,7 @@ class TestConfig:
         assert cfg.tau == pytest.approx(phi_alpha(2, 0.2, 0.1, DESK))
 
     def test_stream_too_short(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^phase boundaries need 2\*p1 <= p3, got 1, 1$"):
             make_config(2, 1, 0.2, 1.0 / 6.0, DESK)
 
 
@@ -82,7 +82,7 @@ def _truth_table_state():
     """
     coords = [[0.0], [100.0], [50.0], [60.0], [1.0], [2.0], [10.0], [104.0], [102.0], [101.0], [0.5]]
     data = Dataset.from_coords(coords)
-    cfg = SelectProcConfig(k=2, n=11, delta=0.5, alpha=1.0 / 6.0, profile=DESK,
+    cfg = SelectProcConfig(k=2, delta=0.5, alpha=1.0 / 6.0, profile=DESK,
                            p1_end=2, p3_end=11, quota=1, tau=1.0)
     state = SelectProcState(cfg)
     solver = exhaustive_solver()
@@ -161,15 +161,18 @@ class TestPhases:
         with pytest.raises(ContractError):
             finish(state)
 
-    def test_suffix_ignored(self):
-        coords = [[float(i)] for i in range(12)]
-        data = Dataset.from_coords(coords)
-        cfg = SelectProcConfig(k=2, n=12, delta=0.5, alpha=1.0 / 6.0, profile=DESK, p1_end=2, p3_end=7)
+    def test_window_end_closes_the_copy(self):
+        """A copy observes exactly its window [0, p3_end), however long the
+        dataset; the next point raises and consumes nothing."""
+        data = Dataset.from_coords([[float(i)] for i in range(12)])
+        cfg = SelectProcConfig(k=2, delta=0.5, alpha=1.0 / 6.0, profile=DESK, p1_end=2, p3_end=7)
         state = SelectProcState(cfg)
-        selected = [observe(state, x, data, exhaustive_solver()) for x in range(12)]
-        assert cfg.p3_end < 12
-        assert not any(selected[cfg.p3_end :])
-        rep = finish(state)  # whole stream consumed despite the ignored tail
+        for x in range(cfg.p3_end):
+            observe(state, x, data, exhaustive_solver())
+        with pytest.raises(ContractError, match="^observe called after the copy's window of 7 points closed$"):
+            observe(state, cfg.p3_end, data, exhaustive_solver())
+        assert state.count == cfg.p3_end
+        rep = finish(state)
         assert len(rep.dists) == cfg.p3_end - cfg.p1_end
         assert len(rep.reasons) == len(rep.slots) == cfg.p3_end - cfg.p2_end
 
