@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the one integer and real-number rules."""
 
+import sys
+
 import numpy as np
 
 
@@ -27,14 +29,19 @@ class StreamProtocolError(MunscError):
     """The one-point-at-a-time stream discipline was broken."""
 
 
-def _whole(value, name: str, low: int = 1) -> int:
+_FLOAT_MAX = sys.float_info.max  # `_whole`'s `high` for a count that enters float arithmetic
+
+
+def _whole(value, name: str, low: int = 1, high: float = np.inf) -> int:
     """`value` as an int, for every count, size and seed argument: an int or a
-    numpy integer of at least `low`; a bool or any float raises ContractError."""
+    numpy integer from `low` to `high`; a bool or any float raises ContractError."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ContractError(f"{name} must be {'positive' if low == 1 else f'at least {low}'}, got {value!r}")
+    if value > high:  # the value itself may be too long to print
+        raise ContractError(f"{name} must be at most {high:g}, got an integer of {int(value).bit_length()} bits")
     return int(value)
 
 

@@ -6,6 +6,7 @@ datasets carry a single `# matrix` header line followed by the square matrix.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,11 +125,12 @@ def save_dataset(data: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """The dataset saved at `path`; a file with no data rows raises ContractError."""
     path = Path(path)
-    with path.open() as fh:
-        first = fh.readline()
-        if first.strip() == _MATRIX_HEADER:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
-            return Dataset.from_matrix(body)
-    body = np.loadtxt(path, delimiter=",", ndmin=2)
-    return Dataset.from_coords(body)
+    with path.open() as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # checked below
+        matrix = fh.readline().strip() == _MATRIX_HEADER
+        body = np.loadtxt(fh if matrix else path, delimiter=",", ndmin=2)
+    if body.size == 0:
+        raise ContractError("the file holds no data rows")
+    return Dataset.from_matrix(body) if matrix else Dataset.from_coords(body)

@@ -13,7 +13,7 @@ from ..errors import ContractError, _real, _whole
 from ..metric import Dataset, risk
 from ..multiscale import MunscResult, compute_schedule, run_stream
 from ..oracle import exact_opt, exact_opt_budget_ok
-from ..params import PROFILES, Profile
+from ..params import PROFILES
 from ..solvers import Solver, solve_local_search
 from ..stream import InstrumentedStream
 
@@ -89,13 +89,14 @@ def run_experiment(
     data: Dataset,
     k: int,
     delta: float,
-    profile: Profile | str,
+    profile: str,
     solver: Solver,
     permutation_seed: int,
     oracle: str = "auto",
 ) -> ExperimentReport:
     """One multiscale run over an instrumented stream, measured and serialized.
 
+    profile: the name of a `PROFILES` entry, which the report records.
     oracle: "auto" uses the exhaustive optimum when the enumeration budget
     allows and single-swap local search on the full dataset otherwise;
     "exact", "local-search" force a choice; "none" skips the reference
@@ -106,12 +107,10 @@ def run_experiment(
     permutation_seed = _whole(permutation_seed, "permutation_seed", 0)
     if oracle not in ORACLE_MODES:
         raise ContractError(f"unknown oracle mode {oracle!r}")
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-        profile = PROFILES[profile]
+    if not (isinstance(profile, str) and profile in PROFILES):
+        raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     t0 = time.perf_counter()
-    schedule = compute_schedule(k, delta, data.n, profile)
+    schedule = compute_schedule(k, delta, data.n, PROFILES[profile])
     perm = np.random.default_rng(permutation_seed).permutation(data.n)
     stream = InstrumentedStream(perm)
     result: MunscResult = run_stream(stream, schedule, data, solver)
@@ -159,7 +158,7 @@ def run_experiment(
         n=data.n,
         k=k,
         delta=delta,
-        profile=profile.name,
+        profile=profile,
         solver=solver.name,
         solver_beta=solver.beta,
         permutation_seed=permutation_seed,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .errors import ContractError, _whole
+from .errors import _FLOAT_MAX, ContractError, _whole
 from .metric import CenterSet, Dataset
 from .params import PROFILES, Profile, alpha_schedule, phi_alpha
 from .select_proc import SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
@@ -44,7 +44,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
     phases shrink to fit and intermediate copies that cannot fit both
     calculation phases are dropped; both adjustments are recorded as warnings.
     """
-    n = _whole(n, "n", 4)  # one copy needs 4 stream points
+    n = _whole(n, "n", 4, _FLOAT_MAX)  # one copy needs 4 stream points
     sched = alpha_schedule(k, delta)
     dprime = sched.delta_prime
     tau = phi_alpha(k, dprime, sched.alphas[-1], profile)  # every copy thresholds at the last scale
@@ -123,7 +123,7 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
         if cfg.p3_end > n:
             raise ContractError(f"copy {i + 1}: window of {cfg.p3_end} points exceeds the stream length {n}")
 
-    states = [SelectProcState(cfg) for cfg in schedule.copies]
+    states = [SelectProcState(cfg, data, solver) for cfg in schedule.copies]
     live, closes = states, 0  # the copies whose window is open, and the next index at which one closes
     selection_order: list[int] = []
     read, log_decision = st.read, st.log_decision  # bound once: the loop runs n times
@@ -134,7 +134,7 @@ def run_stream(stream, schedule: Schedule, data: Dataset, solver: Solver) -> Mun
         x = read()
         selected = False
         for state in live:
-            selected |= observe(state, x, data, solver)
+            selected |= observe(state, x)
         if selected:  # a permutation reads each point once
             selection_order.append(x)
         log_decision(t, selected)

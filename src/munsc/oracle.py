@@ -13,7 +13,6 @@ from .metric import CenterSet, Dataset, nearest_dists, truncated_risk
 from .params import PROFILES, Profile, min_nondegenerate_n
 from .select_proc import SelectProcConfig, SelectProcState, make_config, observe
 from .solvers import _within_budget as exact_opt_budget_ok, local_search_solver, solve_exhaustive
-from .stream import InstrumentedStream
 
 __all__ = [
     "OptimalSolution",
@@ -109,11 +108,9 @@ def psi_sandwich_frequency(
     lower_ok = 0
     for _ in range(trials):
         perm = rng.permutation(data.n)
-        stream = InstrumentedStream(perm)
-        state = SelectProcState(cfg)
-        for t in range(cfg.p2_end):
-            x = stream.read()
-            stream.log_decision(t, observe(state, x, data, solver))
+        state = SelectProcState(cfg, data, solver)
+        for x in perm[: cfg.p2_end].tolist():  # phases 1 and 2 take no point
+            observe(state, x)
         psi = state.psi
         t_ref = state.t_alpha
         assert psi is not None and t_ref is not None

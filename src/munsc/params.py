@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractError, _real, _whole
+from .errors import _FLOAT_MAX, ContractError, _real, _whole
 
 __all__ = [
     "Profile",
@@ -74,7 +74,7 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
     alpha up to 1.0 is accepted; values above 1/6 only make sense in unit
     tests of the formula itself.
     """
-    k = _whole(k, "k")
+    k = _whole(k, "k", high=_FLOAT_MAX)
     delta = _real(delta, "delta", 0.0, 1.0)
     alpha = _real(alpha, "alpha", 0.0, 1.0, "(]")
     return _quotient(profile.c_phi * math.log(_quotient(32.0 * k, delta, "delta")), alpha, "alpha")
@@ -82,21 +82,21 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
 
 def k_plus_size(k: int, delta: float, profile: Profile) -> int:
     """Enlarged solution size k + ceil(c_kplus * ln(32k/delta))."""
-    k = _whole(k, "k")
+    k = _whole(k, "k", high=_FLOAT_MAX)
     delta = _real(delta, "delta", 0.0, 1.0)
     return k + math.ceil(profile.c_kplus * math.log(_quotient(32.0 * k, delta, "delta")))
 
 
 def quota_default(k_plus: int, delta: float) -> int:
     """Per-center selection quota ceil(log2(8 * k_plus / delta)); base-2 log."""
-    k_plus = _whole(k_plus, "k_plus")
+    k_plus = _whole(k_plus, "k_plus", high=_FLOAT_MAX)
     delta = _real(delta, "delta", 0.0, 1.0)
     return math.ceil(math.log2(_quotient(8.0 * k_plus, delta, "delta")))
 
 
 def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     """Number of largest phase-2 distances discarded: floor(2*alpha*(k+1)*phi)."""
-    k = _whole(k, "k")
+    k = _whole(k, "k", high=_FLOAT_MAX)
     alpha = _real(alpha, "alpha", 0.0)
     phi = _real(phi, "phi", 0.0, ends="[)")
     return math.floor(_real(2.0 * alpha * (k + 1) * phi, "2*alpha*(k+1)*phi", 0.0, ends="[)"))
@@ -126,7 +126,7 @@ def min_nondegenerate_n(k: int, delta: float, alpha: float, profile: Profile) ->
 
 def selection_threshold(psi: float, k: int, tau: float) -> float:
     """Distance threshold psi / (k * tau) deciding 'far' selections."""
-    k = _whole(k, "k")
+    k = _whole(k, "k", high=_FLOAT_MAX)
     psi = _real(psi, "psi", 0.0, ends="[)")
     tau = _real(tau, "tau", 0.0)
     return _quotient(psi, k * tau, "tau")
@@ -144,7 +144,7 @@ class AlphaSchedule:
 
 def alpha_schedule(k: int, delta: float) -> AlphaSchedule:
     """Compute the geometric scale sequence and the per-copy confidence split."""
-    k = _whole(k, "k", 2)  # the multiscale schedule needs k >= 2
+    k = _whole(k, "k", 2, _FLOAT_MAX)  # the multiscale schedule needs k >= 2
     delta = _real(delta, "delta", 0.0, 1.0)
     alpha_1 = delta / (4.0 * k)
     # Largest I with alpha_1 * 2^I <= 1/6; the 1e-9 guard absorbs float noise

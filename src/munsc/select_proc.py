@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, _real, _whole
+from .errors import _FLOAT_MAX, ContractError, _real, _whole
 from .metric import CenterSet, Dataset
 from .params import (
     PROFILES,
@@ -110,7 +110,7 @@ def make_config(
 ) -> SelectProcConfig:
     """Standalone configuration of a full-stream copy, selecting from 2*p1_end
     to the end of the stream; quota and tau default as in SelectProcConfig."""
-    n = _whole(n, "n")
+    n = _whole(n, "n", high=_FLOAT_MAX)
     alpha = _real(alpha, "alpha", 0.0, _ALPHA_MAX, "(]")  # before ceil(alpha * n)
     return SelectProcConfig(
         k=k,
@@ -141,10 +141,12 @@ class SelectProcReport:
 
 
 class SelectProcState:
-    """Mutable per-copy streaming state; single-owner, mutated sequentially."""
+    """Mutable state of one copy over the dataset and phase-1 black box it is made with; mutated sequentially."""
 
-    def __init__(self, config: SelectProcConfig):
+    def __init__(self, config: SelectProcConfig, data: Dataset, solver: Solver):
         self.config = config
+        self.data = data
+        self.solver = solver
         self.count = 0
         self.buffer_p1: list[int] | None = []
         self.dists = array("d")
@@ -159,11 +161,11 @@ class SelectProcState:
         self.warnings: list[str] = []
         self._nearest_ref: Callable[[int], tuple[int, float]] | None = None
 
-    def _finish_phase1(self, data: Dataset, solver: Solver) -> None:
+    def _finish_phase1(self) -> None:
         assert self.buffer_p1 is not None
-        self.t_alpha = solver.solve(self.buffer_p1, self.config.k_plus, data)
+        self.t_alpha = self.solver.solve(self.buffer_p1, self.config.k_plus, self.data)
         self.buffer_p1 = None  # buffered prefix is no longer needed
-        self._nearest_ref = _nearest_lookup(data, self.t_alpha.to_array())
+        self._nearest_ref = _nearest_lookup(self.data, self.t_alpha.to_array())
         self.near = [False] * len(self.t_alpha)
         self.observed_counts = [0] * len(self.t_alpha)
 
@@ -233,18 +235,18 @@ def _nearest_lookup(data: Dataset, ids: np.ndarray) -> Callable[[int], tuple[int
     return broadcast
 
 
-def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bool:
+def observe(state: SelectProcState, x: int) -> bool:
     """Consume the next stream point, decide about it immediately, and return
     whether it was selected.
 
-    The solver is invoked exactly once, when the last phase-1 point arrives.
-    Raises ContractError for a point id that is not an integer in
-    [0, data.n), and when called after the copy's window [0, p3_end) closed.
+    The copy's solver is invoked exactly once, on its dataset, when the last
+    phase-1 point arrives. Raises ContractError for a point id that is not an
+    integer in [0, state.data.n), and when called after the window [0, p3_end) closed.
     """
     if type(x) is not int:  # the common case skips the general integer rule
         x = _whole(x, "point id", 0)
-    if not 0 <= x < data.n:
-        raise ContractError(f"point id {x} out of range for a dataset of {data.n} points")
+    if not 0 <= x < state.data.n:
+        raise ContractError(f"point id {x} out of range for a dataset of {state.data.n} points")
     c = state.config
     idx = state.count
     if idx >= c.p3_end:
@@ -254,7 +256,7 @@ def observe(state: SelectProcState, x: int, data: Dataset, solver: Solver) -> bo
     if idx < c.p1_end:
         state.buffer_p1.append(x)
         if idx == c.p1_end - 1:
-            state._finish_phase1(data, solver)
+            state._finish_phase1()
         return False
 
     pos, d = state._nearest_ref(x)

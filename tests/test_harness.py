@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from munsc import (
+    PROFILES,
     ContractError,
     Dataset,
     InstrumentedStream,
@@ -236,6 +238,14 @@ class TestRunExperiment:
                 solver=local_search_solver(max_iters=10), permutation_seed=0,
             )
 
+    def test_profile_object_refused(self):
+        """A report records its profile by name, so only a name is taken."""
+        with pytest.raises(ContractError, match="^unknown profile Profile"):
+            run_experiment(
+                Dataset.from_coords(np.zeros((240, 2))), k=2, delta=0.2, profile=PROFILES["desk"],
+                solver=local_search_solver(max_iters=10), permutation_seed=0,
+            )
+
     def test_unknown_oracle_fails_before_streaming(self, monkeypatch):
         monkeypatch.setattr(experiment_mod, "run_stream", lambda *args: pytest.fail("a point was streamed"))
         data = Dataset.from_coords(np.zeros((240, 2)))
@@ -277,6 +287,16 @@ class TestCli:
         assert cli_main(["run", "--data", str(missing), "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"munsc: error: cannot read --data {missing}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "# matrix\n"], ids=["empty", "blank", "matrix-header"])
+    def test_empty_data_file_is_one_line(self, tmp_path, capsys, text):
+        """No numpy warning joins the error line. pytest captures warnings, so here they raise."""
+        data_path = tmp_path / "d.csv"
+        data_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "--data", str(data_path), "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"munsc: error: cannot read --data {data_path}: the file holds no data rows\n"
 
     @pytest.mark.parametrize("command", [
         ["gen", "--n", "10"],

@@ -218,6 +218,22 @@ def test_int_past_the_floats_is_out_of_bound():
     _one_line_contract_error(theorem_constants, 10**400)
 
 
+# The integer entries whose value enters float arithmetic. Seeds and `r` take
+# any int, so 10**400 is not one of ENTRIES' bad values.
+FLOAT_COUNTS = (
+    "phi_alpha.k", "k_plus_size.k", "psi_truncation_count.k", "selection_threshold.k", "min_nondegenerate_n.k",
+    "alpha_schedule.k", "compute_schedule.k", "SelectProcConfig.k", "quota_default.k_plus", "make_config.k",
+    "make_config.n", "compute_schedule.n", "sandwich_report.n",
+)
+
+
+@pytest.mark.parametrize("entry", FLOAT_COUNTS)
+def test_count_past_the_floats_is_a_contract_error(entry):
+    """An int too large for a float fails the integer rule in one line, not
+    as a raw OverflowError where the float arithmetic converts it."""
+    _one_line_contract_error(ENTRIES[entry][2], 10**400)
+
+
 @pytest.mark.parametrize("call", REALS)
 def test_real_entry_takes_numpy_numbers(call):
     """A numpy float gives the output of the Python float of the same value,

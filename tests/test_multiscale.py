@@ -220,9 +220,9 @@ def _spied_run(monkeypatch, schedule, data):
     order, the stream and the result."""
     calls = {}
 
-    def spy(state, x, data, solver):
+    def spy(state, x):
         calls[state] = calls.get(state, 0) + 1
-        return observe(state, x, data, solver)
+        return observe(state, x)
 
     monkeypatch.setattr(multiscale, "observe", spy)
     stream = InstrumentedStream(np.random.default_rng(0).permutation(data.n))

@@ -21,7 +21,7 @@ from munsc import (
 )
 from munsc.params import psi_truncation_count
 from munsc.select_proc import _LOOP_CENTERS, _nearest_lookup
-from munsc.solvers import exhaustive_solver
+from munsc.solvers import Solver, exhaustive_solver
 
 DESK = PROFILES["desk"]
 PAPER = PROFILES["paper"]
@@ -84,15 +84,14 @@ def _truth_table_state():
     data = Dataset.from_coords(coords)
     cfg = SelectProcConfig(k=2, delta=0.5, alpha=1.0 / 6.0, profile=DESK,
                            p1_end=2, p3_end=11, quota=1, tau=1.0)
-    state = SelectProcState(cfg)
-    solver = exhaustive_solver()
+    state = SelectProcState(cfg, data, exhaustive_solver())
     selected = []
     for x in range(4):
-        selected.append(observe(state, x, data, solver))
+        selected.append(observe(state, x))
     state.psi = 6.0
     state.threshold = 3.0
     for x in range(4, 11):
-        selected.append(observe(state, x, data, solver))
+        selected.append(observe(state, x))
     return state, selected, data
 
 
@@ -148,29 +147,50 @@ class TestPhases:
         assert rep.psi == 6.0
 
     def test_observe_past_stream_end_rejected(self):
-        state, _, data = _truth_table_state()
+        state, _, _ = _truth_table_state()
         with pytest.raises(ContractError):
-            observe(state, 0, data, exhaustive_solver())
+            observe(state, 0)
 
     def test_finish_premature_rejected(self):
         coords = [[float(i)] for i in range(12)]
         data = Dataset.from_coords(coords)
         cfg = make_config(2, 12, 0.5, 1.0 / 6.0, DESK)
-        state = SelectProcState(cfg)
-        observe(state, 0, data, exhaustive_solver())
+        state = SelectProcState(cfg, data, exhaustive_solver())
+        observe(state, 0)
         with pytest.raises(ContractError):
             finish(state)
+
+    def test_phase_one_prefix_solved_once_with_the_copy_black_box(self):
+        """Over a full window, the black box the copy was made with is called
+        once, with the copy's dataset, k_plus and its first p1_end ids."""
+        data = Dataset.from_coords(np.random.default_rng(4).normal(size=(60, 2)))
+        calls = []
+
+        def first_k(ids, k, d):
+            calls.append((ids.tolist(), k, d))
+            return CenterSet.of(ids[:k])
+
+        cfg = make_config(2, 60, 0.2, 1.0 / 6.0, DESK)
+        state = SelectProcState(cfg, data, Solver("first-k", 1.0, first_k))
+        perm = np.random.default_rng(5).permutation(60)
+        for x in perm:
+            observe(state, x)
+        finish(state)
+        assert len(calls) == 1
+        ids, k, d = calls[0]
+        assert d is data and k == cfg.k_plus
+        assert ids == sorted(perm[: cfg.p1_end].tolist())
 
     def test_window_end_closes_the_copy(self):
         """A copy observes exactly its window [0, p3_end), however long the
         dataset; the next point raises and consumes nothing."""
         data = Dataset.from_coords([[float(i)] for i in range(12)])
         cfg = SelectProcConfig(k=2, delta=0.5, alpha=1.0 / 6.0, profile=DESK, p1_end=2, p3_end=7)
-        state = SelectProcState(cfg)
+        state = SelectProcState(cfg, data, exhaustive_solver())
         for x in range(cfg.p3_end):
-            observe(state, x, data, exhaustive_solver())
+            observe(state, x)
         with pytest.raises(ContractError, match="^observe called after the copy's window of 7 points closed$"):
-            observe(state, cfg.p3_end, data, exhaustive_solver())
+            observe(state, cfg.p3_end)
         assert state.count == cfg.p3_end
         rep = finish(state)
         assert len(rep.dists) == cfg.p3_end - cfg.p1_end
@@ -183,10 +203,9 @@ def _two_cluster_run(n=1500, k=2, delta=0.2, perm_seed=3):
     coords = np.concatenate([rng.normal(0.0, 0.5, half), rng.normal(1000.0, 0.5, n - half)])
     data = Dataset.from_coords(coords[:, None])
     cfg = make_config(k, n, delta, 1.0 / 6.0, DESK)
-    state = SelectProcState(cfg)
-    solver = local_search_solver(max_iters=40)
+    state = SelectProcState(cfg, data, local_search_solver(max_iters=40))
     perm = np.random.default_rng(perm_seed).permutation(n)
-    selected = [observe(state, int(x), data, solver) for x in perm]
+    selected = [observe(state, int(x)) for x in perm]
     return data, cfg, state, selected, perm, half
 
 
@@ -338,34 +357,33 @@ class TestNearestLookup2d:
 
 class TestObservePointIds:
     @staticmethod
-    def _phase3_state() -> tuple[SelectProcState, Dataset]:
+    def _phase3_state() -> SelectProcState:
         data = Dataset.from_coords(np.random.default_rng(0).normal(size=(300, 2)))
-        state = SelectProcState(make_config(2, 300, 0.2, 0.05, DESK))
+        state = SelectProcState(make_config(2, 300, 0.2, 0.05, DESK), data, exhaustive_solver())
         for x in range(40):
-            observe(state, x, data, exhaustive_solver())
+            observe(state, x)
         assert state.count >= state.config.p2_end
-        return state, data
+        return state
 
     @pytest.mark.parametrize("bad", [-1, 300, 2.5, 3.0, True, np.True_, "3", None])
     def test_bad_id_rejected_in_one_line(self, bad):
-        state, data = self._phase3_state()
+        state = self._phase3_state()
         count = state.count
         with pytest.raises(ContractError) as err:
-            observe(state, bad, data, exhaustive_solver())
+            observe(state, bad)
         assert "\n" not in str(err.value)
         assert state.count == count  # nothing was consumed
 
     def test_bad_id_rejected_in_phase_1(self):
         data = Dataset.from_coords(np.zeros((30, 2)))
-        state = SelectProcState(make_config(2, 30, 0.2, 0.05, DESK))
+        state = SelectProcState(make_config(2, 30, 0.2, 0.05, DESK), data, exhaustive_solver())
         with pytest.raises(ContractError):
-            observe(state, -1, data, exhaustive_solver())
+            observe(state, -1)
         assert state.count == 0
 
     def test_numpy_integer_ids(self):
         data, _, state, selected, perm, _ = _two_cluster_run()
-        again = SelectProcState(state.config)
-        solver = local_search_solver(max_iters=40)
-        assert [observe(again, x, data, solver) for x in perm] == selected  # np.int64 ids
+        again = SelectProcState(state.config, data, local_search_solver(max_iters=40))
+        assert [observe(again, x) for x in perm] == selected  # np.int64 ids
         assert finish(again).selected == finish(state).selected
         assert all(type(x) is int for x in again.selected)
