@@ -39,10 +39,16 @@ def _whole(value, name: str, low: int = 1, high: float = np.inf) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ContractError(f"{name} must be {'positive' if low == 1 else f'at least {low}'}, got {value!r}")
-    if value > high:  # the value itself may be too long to print
-        raise ContractError(f"{name} must be at most {high:g}, got an integer of {int(value).bit_length()} bits")
+        raise ContractError(f"{name} must be {'positive' if low == 1 else f'at least {low}'}, got {_shown(value)}")
+    if value > high:
+        raise ContractError(f"{name} must be at most {high:g}, got {_shown(value)}")
     return int(value)
+
+
+def _shown(value) -> str:
+    """An int as an error shows it: past 64 bits, its sign and length, as Python prints at most 4,300 digits."""
+    bits = int(value).bit_length()
+    return repr(value) if bits <= 64 else f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
 
 
 def _real(value, name: str, low: float = -np.inf, high: float = np.inf, ends: str = "()") -> float:
@@ -55,7 +61,7 @@ def _real(value, name: str, low: float = -np.inf, high: float = np.inf, ends: st
         try:
             value = float(value)
         except OverflowError:  # an int past the largest float
-            value = np.inf
+            raise ContractError(f"{name} must be finite, got {_shown(value)}") from None
     if not ((low < value or ends[0] == "[" and value == low) and (value < high or ends[1] == "]" and value == high)):
         raise ContractError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
     return value

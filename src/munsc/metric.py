@@ -8,10 +8,10 @@ order for every distance comparison in the package.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from math import frexp, inf, sqrt
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -65,6 +65,11 @@ _MAX_SPAN_SQ = float(np.finfo(np.float64).max) / 2
 # 8-d. In 2-d the strided copy costs about as much as the kernel: m = 4096
 # took 88 -> 134 ms mirrored (2-vCPU Intel Xeon host).
 _MIRROR_DIM = 8
+# A 2-d reference set of at most this many centers is searched by a plain
+# Python loop, a larger one by numpy. Per lookup (timeit, min of 15 repeats,
+# 2-vCPU Intel Xeon host), numpy took 4.7, 5.6, 6.9, 6.1 and 6.3 us at 8, 16,
+# 32, 40 and 64 centers; the loop 1.6, 2.7, 5.0, 6.2 and 8.6 us.
+_LOOP_CENTERS = 32
 
 
 def row_blocks(count: int, row_cells: int, whole: bool = False, max_rows: int | None = None) -> Iterator[slice]:
@@ -169,7 +174,7 @@ class Dataset:
             if coords.ndim != 2 or coords.shape[0] < 1:
                 raise ContractError("coords must be a nonempty 2-d array")
             lo, hi = (float(coords.min()), float(coords.max())) if coords.size else (0.0, 0.0)
-            if not (-math.inf < lo and hi < math.inf):  # NaN fails too
+            if not (-inf < lo and hi < inf):  # NaN fails too
                 raise ContractError("coordinates must be finite")
             # d (hi - lo)^2 bounds the squared span; only if it fails are the columns
             # reduced one by one, which takes 100x as long on 42,000 x 2 coordinates
@@ -256,7 +261,7 @@ class Dataset:
     def point_to_ids(self, x: int, ids: np.ndarray) -> np.ndarray:
         """Distances from one point to each id in `ids` (same order).
 
-        No code in the package calls it; `perfbench` traces it by name.
+        Unused in the package, whose per-point path is `nearest_lookup`; `perfbench` traces it by name.
         """
         ids = _point_ids(ids, self._n)
         (x,) = _point_ids((x,), self._n)
@@ -366,6 +371,52 @@ def nearest_dists(ids: np.ndarray, centers: CenterSet, data: Dataset) -> tuple[n
     return _nearest(_point_ids(ids, data.n), carr, data)
 
 
+def nearest_lookup(centers: CenterSet, data: Dataset) -> Callable[[int], tuple[int, float]]:
+    """`nearest_dists` one point at a time: a function from a point id, which it
+    does not check, to its nearest center's position and distance, with the same
+    bits. The centers are checked and the kind chosen once: a matrix row is
+    gathered; up to `_LOOP_CENTERS` 2-d centers are searched by a Python loop in
+    numpy's steps (squares summed in coordinate order, then `sqrt`, each correctly
+    rounded; the first of equal distances wins); other coordinates go through numpy."""
+    ids = _centers_array(centers, data)
+    if data.matrix is not None:
+        rows = data.matrix
+
+        def gather(x: int) -> tuple[int, float]:
+            d = rows[x, ids]
+            pos = int(d.argmin())
+            return pos, float(d[pos])
+
+        return gather
+
+    coords = data.coords
+    pts = coords[ids]
+    if pts.shape[1] == 2 and ids.size <= _LOOP_CENTERS:
+        centers = tuple(map(tuple, pts.tolist()))
+
+        def loop_2d(x: int) -> tuple[int, float]:
+            u, v = coords[x].tolist()
+            best, pos = inf, 0
+            for i, (a, b) in enumerate(centers):
+                du = a - u
+                dv = b - v
+                d = sqrt(du * du + dv * dv)  # `*`, not `**`, which raises on overflow
+                if d < best:
+                    best, pos = d, i
+            return pos, best
+
+        return loop_2d
+
+    def broadcast(x: int) -> tuple[int, float]:
+        diff = pts - coords[x]
+        diff *= diff
+        d = np.sqrt(np.add.reduce(diff, axis=1))
+        pos = int(d.argmin())
+        return pos, float(d[pos])
+
+    return broadcast
+
+
 def _nearest(ids: np.ndarray, carr: np.ndarray, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """`nearest_dists` for ids and center ids that the caller has checked."""
     dist = np.empty(ids.size, dtype=np.float64)
@@ -381,7 +432,7 @@ def _nearest(ids: np.ndarray, carr: np.ndarray, data: Dataset) -> tuple[np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         shift = x[carr].mean(axis=0)
         c = x[carr] - shift
-        exp = -math.frexp(np.abs(c).max())[1]  # 2^exp puts the largest |c_t| in [1/2, 1)
+        exp = -frexp(np.abs(c).max(initial=0.0))[1]  # 2^exp puts the largest |c_t| in [1/2, 1)
         np.ldexp(c, exp, out=c)
         f32 = x.shape[1] <= 1024 and carr.size >= _F32_COLS  # the slack's bound needs d u <= 2^-14
         screen = _screen_centers(c, exp, np.float32 if f32 else np.float64)

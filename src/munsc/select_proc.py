@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from math import ceil, inf, sqrt
+from math import ceil
 from typing import Callable
 
 import numpy as np
 
 from .errors import _FLOAT_MAX, ContractError, _real, _whole
-from .metric import CenterSet, Dataset
+from .metric import CenterSet, Dataset, nearest_lookup
 from .params import (
     PROFILES,
     PSI_DENOM,
@@ -50,12 +50,6 @@ _ALPHA_MAX = 1.0 / 6.0 + 1e-9  # a copy's scale lies in (0, 1/6], with room for 
 
 REASONS = ("not_selected", "far", "quota", "near_flag")  # phase-3 codes; 0 passes a point over
 _FAR, _QUOTA, _NEAR_FLAG = 1, 2, 3
-
-# A 2-d reference set of at most this many centers is searched by a plain
-# Python loop, a larger one by numpy. Per lookup (timeit, min of 15 repeats,
-# 2-vCPU Intel Xeon host), numpy took 4.7, 5.6, 6.9, 6.1 and 6.3 us at 8, 16,
-# 32, 40 and 64 centers; the loop 1.6, 2.7, 5.0, 6.2 and 8.6 us.
-_LOOP_CENTERS = 32
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class SelectProcState:
         assert self.buffer_p1 is not None
         self.t_alpha = self.solver.solve(self.buffer_p1, self.config.k_plus, self.data)
         self.buffer_p1 = None  # buffered prefix is no longer needed
-        self._nearest_ref = _nearest_lookup(self.data, self.t_alpha.to_array())
+        self._nearest_ref = nearest_lookup(self.t_alpha, self.data)
         self.near = [False] * len(self.t_alpha)
         self.observed_counts = [0] * len(self.t_alpha)
 
@@ -182,57 +176,6 @@ class SelectProcState:
         else:
             self.psi = float(np.sum(dists[: dists.size - drop])) / (PSI_DENOM * c.alpha)
         self.threshold = selection_threshold(self.psi, c.k, c.tau)
-
-
-def _nearest_lookup(data: Dataset, ids: np.ndarray) -> Callable[[int], tuple[int, float]]:
-    """The nearest-reference lookup of a copy whose reference centers are the
-    sorted `ids`, chosen once when they are fixed.
-
-    It maps a point id to the position (into `ids`) of its nearest center and
-    the distance to it; ties go to the smallest position. Every kind returns
-    the bits of the min and argmin of `data.pairwise([x], ids)`: a matrix row
-    is gathered; a few 2-d centers are searched by a Python loop over their
-    coordinates as floats, which takes numpy's steps (the square of each
-    difference, summed in coordinate order, then `sqrt`, correctly rounded in
-    both) and keeps the first of equal distances; other coordinates go
-    through numpy.
-    """
-    if data.mode == "matrix":
-        rows = data.matrix
-
-        def gather(x: int) -> tuple[int, float]:
-            d = rows[x, ids]
-            pos = int(d.argmin())
-            return pos, float(d[pos])
-
-        return gather
-
-    coords = data.coords
-    pts = coords[ids]
-    if pts.shape[1] == 2 and ids.size <= _LOOP_CENTERS:
-        centers = tuple(map(tuple, pts.tolist()))
-
-        def loop_2d(x: int) -> tuple[int, float]:
-            u, v = coords[x].tolist()
-            best, pos = inf, 0
-            for i, (a, b) in enumerate(centers):
-                du = a - u
-                dv = b - v
-                d = sqrt(du * du + dv * dv)  # `*`, not `**`, which raises on overflow
-                if d < best:
-                    best, pos = d, i
-            return pos, best
-
-        return loop_2d
-
-    def broadcast(x: int) -> tuple[int, float]:
-        diff = pts - coords[x]
-        diff *= diff
-        d = np.sqrt(np.add.reduce(diff, axis=1))
-        pos = int(d.argmin())
-        return pos, float(d[pos])
-
-    return broadcast
 
 
 def observe(state: SelectProcState, x: int) -> bool:

@@ -218,6 +218,22 @@ def test_int_past_the_floats_is_out_of_bound():
     _one_line_contract_error(theorem_constants, 10**400)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("call", REALS)
+def test_real_past_the_floats_keeps_its_sign(call, sign):
+    """An int past the floats is refused with its sign and length, not as inf."""
+    with pytest.raises(ContractError, match=f" got {'a negative' if sign < 0 else 'an'} integer of 1329 bits$"):
+        REALS[call][2](sign * 10**400)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_integer_too_long_to_print_is_a_contract_error(entry):
+    """An int of 5,000 digits, past the 4,300 that Python prints, is refused in
+    one line that gives its sign and length, not with a raw ValueError."""
+    with pytest.raises(ContractError, match=" got a negative integer of 16610 bits$"):
+        ENTRIES[entry][2](-(10**5000))
+
+
 # The integer entries whose value enters float arithmetic. Seeds and `r` take
 # any int, so 10**400 is not one of ENTRIES' bad values.
 FLOAT_COUNTS = (

@@ -22,7 +22,7 @@ from munsc import (
     truncated_risk,
 )
 import munsc.metric as metric_mod
-from munsc.metric import farthest_order, nearest_dists, row_blocks
+from munsc.metric import _LOOP_CENTERS, farthest_order, nearest_dists, nearest_lookup, row_blocks
 
 
 def linear_scan_nearest(data, x, centers):
@@ -94,40 +94,155 @@ class TestDataset:
             ds.dist(0, 2)
 
 
-def nearest_center(x, centers, data):
-    """(center id, distance) of one point's nearest center, by `nearest_dists`."""
-    dist, pos = nearest_dists(np.array([x]), centers, data)
+def lookup_each(ids, centers, data):
+    """`nearest_lookup` called once per point, as two arrays like `nearest_dists`'s."""
+    lookup = nearest_lookup(centers, data)
+    found = [lookup(x) for x in ids.tolist()]
+    assert all(type(pos) is int and type(d) is float for pos, d in found)
+    return np.array([d for _, d in found]), np.array([pos for pos, _ in found], dtype=np.int64)
+
+
+def dists_one_by_one(ids, centers, data):
+    """`nearest_dists` called once per point."""
+    found = [nearest_dists(ids[i : i + 1], centers, data) for i in range(ids.size)]
+    return np.concatenate([d for d, _ in found]), np.concatenate([pos for _, pos in found])
+
+
+# `nearest_dists` per batch and per point, and `nearest_lookup`: every row of `TestNearestCenter` checks each
+NEAREST = {"nearest_dists": nearest_dists, "nearest_dists one point": dists_one_by_one, "nearest_lookup": lookup_each}
+
+
+def nearest_center(x, centers, data, entry):
+    """(center id, distance) of one point's nearest center, by `entry`."""
+    dist, pos = NEAREST[entry](np.array([x]), centers, data)
     return centers.ids[int(pos[0])], float(dist[0])
 
 
+def as_matrix(data):
+    return Dataset.from_matrix(data.pairwise(range(data.n), range(data.n)))
+
+
+def assert_nearest_is_pairwise(pts, centers, kind):
+    """Every entry, over every point of the coordinates `pts` and of their
+    distance matrix, gives the bits of `pairwise(...).min` / `argmin`; `kind`
+    names the lookup chosen for the coordinates."""
+    data = Dataset.from_coords(pts)
+    centers = CenterSet.of(centers)
+    ids = np.arange(data.n)
+    block = data.pairwise(ids, centers.to_array())
+    matrix = as_matrix(data)
+    assert nearest_lookup(centers, data).__name__ == kind
+    assert nearest_lookup(centers, matrix).__name__ == "gather"
+    for ds in (data, matrix):
+        for entry, nearest in NEAREST.items():
+            dist, pos = nearest(ids, centers, ds)
+            assert dist.tobytes() == block.min(axis=1).tobytes(), (ds.mode, entry)
+            np.testing.assert_array_equal(pos, block.argmin(axis=1), err_msg=f"{ds.mode} {entry}")
+
+
+def lookup_kind(dim: int, m: int) -> str:
+    return "loop_2d" if dim == 2 and m <= _LOOP_CENTERS else "broadcast"
+
+
 class TestNearestCenter:
-    """`nearest_dists` as a one-point lookup, against a linear scan."""
+    """The nearest-center rule, in `nearest_dists` (per point and per batch) and
+    in `nearest_lookup`, on coordinates and on a distance matrix: the bits of
+    `pairwise(...).min` / `argmin`, ties to the smallest center id."""
 
     def test_member_of_center_set(self, line_dataset):
-        assert nearest_center(2, CenterSet.of([2, 3]), line_dataset) == (2, 0.0)
+        for data, entry in itertools.product((line_dataset, as_matrix(line_dataset)), NEAREST):
+            assert nearest_center(2, CenterSet.of([2, 3]), data, entry) == (2, 0.0)
 
     def test_symmetric_tie_breaks_to_smaller_id(self):
         ds = Dataset.from_coords([[0.0], [1.0], [2.0]])
-        assert nearest_center(1, CenterSet.of([0, 2]), ds) == (0, 1.0)
-        assert nearest_center(1, CenterSet.of([0, 2]), Dataset.from_matrix(ds.pairwise(range(3), range(3)))) == (0, 1.0)
+        for data, entry in itertools.product((ds, as_matrix(ds)), NEAREST):
+            assert nearest_center(1, CenterSet.of([0, 2]), data, entry) == (0, 1.0)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(17)
         ds = Dataset.from_coords(rng.normal(size=(20, 3)))
         centers = CenterSet.of([4, 11, 17])
-        for x in range(20):
-            assert nearest_center(x, centers, ds) == linear_scan_nearest(ds, x, centers.ids)
+        for data, entry in itertools.product((ds, as_matrix(ds)), NEAREST):
+            for x in range(20):
+                assert nearest_center(x, centers, data, entry) == linear_scan_nearest(data, x, centers.ids)
 
     def test_empty_center_set_rejected(self, line_dataset):
-        with pytest.raises(ContractError):
-            nearest_dists(np.array([0]), CenterSet(()), line_dataset)
-        with pytest.raises(ContractError):
-            nearest_dists(np.empty(0, dtype=np.int64), CenterSet(()), line_dataset)
+        for data in (line_dataset, as_matrix(line_dataset)):
+            for ids in (np.array([0]), np.empty(0, dtype=np.int64)):
+                with pytest.raises(ContractError, match="^center set must be nonempty$"):
+                    nearest_dists(ids, CenterSet(()), data)
+            with pytest.raises(ContractError, match="^center set must be nonempty$"):
+                nearest_lookup(CenterSet(()), data)
 
     def test_deterministic(self, line_dataset):
         t = CenterSet.of([0, 2])
-        first = nearest_center(1, t, line_dataset)
-        assert all(nearest_center(1, t, line_dataset) == first for _ in range(5))
+        for entry in NEAREST:
+            first = nearest_center(1, t, line_dataset, entry)
+            assert all(nearest_center(1, t, line_dataset, entry) == first for _ in range(5))
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 7, 8, 9, 16, 64, 65])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_dims_and_offsets(self, dim, offset):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(size=(200, dim)) * 10 ** rng.uniform(-3, 3) + offset
+        pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
+        centers = sorted({*range(0, 200, 9), 40, 105, 117})
+        assert_nearest_is_pairwise(pts, centers, lookup_kind(dim, len(centers)))
+
+    @pytest.mark.parametrize("m", [1, 2, 16, _LOOP_CENTERS, _LOOP_CENTERS + 1, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_center_counts_around_the_loop_bound(self, m, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(300, 2)) * 10 ** rng.uniform(-6, 6, size=2) + rng.normal(scale=1e3, size=2)
+        assert_nearest_is_pairwise(pts, rng.choice(300, size=m, replace=False), lookup_kind(2, m))
+
+    @pytest.mark.parametrize("m", [8, 40])
+    def test_duplicate_centers(self, m):
+        rng = np.random.default_rng(m)
+        pts = rng.integers(-3, 4, size=(120, 2)).astype(float)  # few distinct points: duplicates and ties
+        pts[:m:2] = pts[1:m:2]
+        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
+
+    @pytest.mark.parametrize("m", [4, 36])
+    def test_exact_ties(self, m):
+        """Centers on a circle of radius 5 through integer points, each point
+        equidistant to several of them; ties go to the first position."""
+        ring = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (-4.0, -3.0), (0.0, -5.0), (3.0, -4.0)]
+        centers = [ring[i % len(ring)] for i in range(m)]
+        queries = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-1.0, 2.5)]
+        assert_nearest_is_pairwise(np.array(centers + queries), range(m), lookup_kind(2, m))
+
+    def test_tie_made_by_the_square_root(self):
+        """Two squared sums that differ but share a rounded square root: the
+        first center in order wins, although the second's sum is smaller."""
+        by_root: dict[float, dict[float, tuple[float, float]]] = {}
+        for j in range(400):  # centers (1.5, b) seen from the origin
+            b = j * 1e-10
+            s = 1.5 * 1.5 + b * b
+            by_root.setdefault(math.sqrt(s), {})[s] = (1.5, b)
+        centers = next(group for group in by_root.values() if len(group) > 1)
+        larger, smaller = sorted(centers, reverse=True)[:2]
+        for m in (2, _LOOP_CENTERS + 2):
+            pts = np.array([centers[larger], centers[smaller]] + [(100.0, 100.0)] * (m - 2) + [(0.0, 0.0)])
+            for entry in NEAREST:
+                assert nearest_center(m, CenterSet.of(range(m)), Dataset.from_coords(pts), entry) == (0, math.sqrt(larger))
+            assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
+
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_overflowing_squares(self, m):
+        """Coordinates near 1e154, where the square of a difference can exceed
+        the float range, are refused; a quarter of them, just inside the bound,
+        give finite distances that match `pairwise`."""
+        rng = np.random.default_rng(m)
+        centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2))
+        queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]])
+        pts = np.concatenate([centers, queries])
+        with pytest.raises(ContractError, match="^coordinates span too far"):
+            Dataset.from_coords(pts)
+        pts /= 4  # a squared span of 7.8e307
+        for entry in NEAREST:
+            assert 6e153 < nearest_center(len(pts) - 1, CenterSet.of(range(m)), Dataset.from_coords(pts), entry)[1] < math.inf
+        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
 
 
 def test_row_blocks_cover_the_range(monkeypatch):

@@ -20,7 +20,7 @@ from munsc import (
     phi_alpha,
 )
 from munsc.params import psi_truncation_count
-from munsc.select_proc import _LOOP_CENTERS, _nearest_lookup
+from munsc.metric import _LOOP_CENTERS
 from munsc.solvers import Solver, exhaustive_solver
 
 DESK = PROFILES["desk"]
@@ -252,79 +252,80 @@ class TestStreamingInvariants:
         assert finish(s1).psi == finish(s2).psi
 
 
-def _pairwise_nearest(data: Dataset, centers: np.ndarray, x: int) -> tuple[int, float]:
-    row = data.pairwise([x], centers)[0]
-    pos = int(row.argmin())
-    return pos, float(row[pos])
+def _copy_records(data: Dataset, centers) -> tuple[str, np.ndarray, np.ndarray]:
+    """A copy whose black box returns `centers` observes each of them in phases
+    1 and 2, then every point of `data` in phase 3: the name of its lookup, and
+    the distances and slots it recorded in phase 3."""
+    centers = [int(c) for c in centers]
+    m = len(centers)
+    cfg = SelectProcConfig(k=2, delta=0.1, alpha=0.1, profile=PAPER, p1_end=m, p3_end=2 * m + data.n)
+    assert cfg.k_plus >= m
+    state = SelectProcState(cfg, data, Solver("fixed", 1.0, lambda ids, k, data: CenterSet.of(centers)))
+    for x in centers + centers + list(range(data.n)):
+        observe(state, x)
+    rep = finish(state)
+    return state._nearest_ref.__name__, rep.dists[m:], rep.slots
+
+
+def _check_copy(pts, centers, kind: str) -> None:
+    """The copy's phase-3 columns hold the bits of `pairwise(...).min` / `argmin`."""
+    data = pts if isinstance(pts, Dataset) else Dataset.from_coords(pts)
+    block = data.pairwise(range(data.n), sorted(int(c) for c in centers))
+    name, dists, slots = _copy_records(data, centers)
+    assert name == kind
+    assert dists.tobytes() == block.min(axis=1).tobytes()
+    np.testing.assert_array_equal(slots, block.argmin(axis=1))
+
+
+def _kind(dim: int, m: int) -> str:
+    return "loop_2d" if dim == 2 and m <= _LOOP_CENTERS else "broadcast"
 
 
 class TestNearestRef:
+    """A copy records each point's nearest-reference distance and slot with the
+    bits of `pairwise`, through the lookup that `nearest_lookup` picks for its
+    reference set; `test_metric.TestNearestCenter` checks the lookup itself."""
+
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 64, 65])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_matches_pairwise_bit_for_bit(self, dim, offset):
         rng = np.random.default_rng(dim)
         pts = rng.normal(size=(200, dim)) * 10 ** rng.uniform(-3, 3) + offset
         pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
-        data = Dataset.from_coords(pts)
-        centers = np.array(sorted({*range(0, 200, 9), 40, 105, 117}), dtype=np.int64)
-        lookup = _nearest_lookup(data, centers)
-        for x in range(200):
-            assert lookup(x) == _pairwise_nearest(data, centers, x)
+        centers = sorted({*range(0, 200, 9), 40, 105, 117})
+        _check_copy(pts, centers, _kind(dim, len(centers)))
 
     def test_matrix_mode(self):
         coords = Dataset.from_coords(np.random.default_rng(3).normal(size=(40, 3)))
-        data = Dataset.from_matrix(coords.pairwise(range(40), range(40)))
-        centers = np.array([2, 5, 11, 30], dtype=np.int64)
-        lookup = _nearest_lookup(data, centers)
-        for x in range(40):
-            assert lookup(x) == _pairwise_nearest(data, centers, x)
+        _check_copy(Dataset.from_matrix(coords.pairwise(range(40), range(40))), [2, 5, 11, 30], "gather")
 
 
 class TestNearestLookup2d:
-    """The 2-d lookup, a Python loop up to `_LOOP_CENTERS` centers and numpy
-    past it, agrees with `pairwise` in distance and position, bit for bit."""
-
-    @staticmethod
-    def _check(pts, centers, kind: str) -> None:
-        data = Dataset.from_coords(pts)
-        centers = np.asarray(centers, dtype=np.int64)
-        lookup = _nearest_lookup(data, centers)
-        assert lookup.__name__ == kind
-        for x in range(data.n):
-            pos, d = lookup(x)
-            assert type(pos) is int and type(d) is float
-            assert (pos, d) == _pairwise_nearest(data, centers, x)
-
-    @staticmethod
-    def _kind(m: int) -> str:
-        return "loop_2d" if m <= _LOOP_CENTERS else "broadcast"
+    """In 2-d a copy searches up to `_LOOP_CENTERS` reference centers by a
+    Python loop and more by numpy, and records the bits of `pairwise` either way."""
 
     @pytest.mark.parametrize("m", [1, 2, 16, _LOOP_CENTERS, _LOOP_CENTERS + 1, 64])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_points(self, m, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(300, 2)) * 10 ** rng.uniform(-6, 6, size=2) + rng.normal(scale=1e3, size=2)
-        self._check(pts, np.sort(rng.choice(300, size=m, replace=False)), self._kind(m))
+        _check_copy(pts, rng.choice(300, size=m, replace=False), _kind(2, m))
 
     @pytest.mark.parametrize("m", [8, 40])
     def test_duplicate_centers(self, m):
         rng = np.random.default_rng(m)
         pts = rng.integers(-3, 4, size=(120, 2)).astype(float)  # few distinct points: duplicates and ties
         pts[:m:2] = pts[1:m:2]
-        self._check(pts, range(m), self._kind(m))
+        _check_copy(pts, range(m), _kind(2, m))
 
     @pytest.mark.parametrize("m", [4, 36])
     def test_exact_ties(self, m):
-        """Centers on a circle of radius 5 through integer points, each point
-        equidistant to several of them; ties go to the first position."""
         ring = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (-4.0, -3.0), (0.0, -5.0), (3.0, -4.0)]
         centers = [ring[i % len(ring)] for i in range(m)]
         queries = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-1.0, 2.5)]
-        self._check(np.array(centers + queries), range(m), self._kind(m))
+        _check_copy(np.array(centers + queries), range(m), _kind(2, m))
 
     def test_tie_made_by_the_square_root(self):
-        """Two squared sums that differ but share a rounded square root: the
-        first center in order wins, although the second's sum is smaller."""
         by_root: dict[float, dict[float, tuple[float, float]]] = {}
         for j in range(400):  # centers (1.5, b) seen from the origin
             b = j * 1e-10
@@ -334,25 +335,14 @@ class TestNearestLookup2d:
         larger, smaller = sorted(centers, reverse=True)[:2]
         for m in (2, _LOOP_CENTERS + 2):
             pts = np.array([centers[larger], centers[smaller]] + [(100.0, 100.0)] * (m - 2) + [(0.0, 0.0)])
-            data = Dataset.from_coords(pts)
-            assert _nearest_lookup(data, np.arange(m))(m) == (0, math.sqrt(larger))
-            self._check(pts, range(m), self._kind(m))
+            _check_copy(pts, range(m), _kind(2, m))
 
     @pytest.mark.parametrize("m", [6, 40])
     def test_overflowing_squares(self, m):
-        """Coordinates near 1e154, where the square of a difference can exceed
-        the float range, are refused; a quarter of them, just inside the bound,
-        give finite distances that match `pairwise`."""
         rng = np.random.default_rng(m)
-        centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2))
-        queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]])
-        pts = np.concatenate([centers, queries])
-        with pytest.raises(ContractError, match="^coordinates span too far"):
-            Dataset.from_coords(pts)
-        pts /= 4  # a squared span of 7.8e307
-        _, d = _nearest_lookup(Dataset.from_coords(pts), np.arange(m))(len(pts) - 1)
-        assert 6e153 < d < math.inf
-        self._check(pts, range(m), self._kind(m))
+        centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2)) / 4
+        queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]]) / 4
+        _check_copy(np.concatenate([centers, queries]), range(m), _kind(2, m))
 
 
 class TestObservePointIds:
