@@ -19,8 +19,8 @@ from munsc import (
     observe,
     phi_alpha,
 )
-from munsc.params import psi_truncation_count
 from munsc.metric import _LOOP_CENTERS
+from munsc.params import psi_truncation_count
 from munsc.solvers import Solver, exhaustive_solver
 
 DESK = PROFILES["desk"]
