@@ -14,7 +14,7 @@ from math import ceil
 
 from .errors import _FLOAT_MAX, ContractError, _whole
 from .metric import CenterSet, Dataset
-from .params import PROFILES, Profile, alpha_schedule, phi_alpha
+from .params import PROFILES, Profile, _phi, alpha_schedule
 from .select_proc import SelectProcConfig, SelectProcReport, SelectProcState, finish, observe
 from .solvers import Solver
 from .stream import InstrumentedStream
@@ -47,7 +47,7 @@ def compute_schedule(k: int, delta: float, n: int, profile: Profile = PROFILES["
     n = _whole(n, "n", 4, _FLOAT_MAX)  # one copy needs 4 stream points
     sched = alpha_schedule(k, delta)
     dprime = sched.delta_prime
-    tau = phi_alpha(k, dprime, sched.alphas[-1], profile)  # every copy thresholds at the last scale
+    tau = _phi(k, dprime, sched.alphas[-1], profile)  # every copy thresholds at the last scale
     s1 = ceil(sched.alpha_1 * n)
 
     warnings: list[str] = []

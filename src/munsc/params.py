@@ -75,30 +75,40 @@ def phi_alpha(k: int, delta: float, alpha: float, profile: Profile) -> float:
     tests of the formula itself.
     """
     k = _whole(k, "k", high=_FLOAT_MAX)
-    delta = _real(delta, "delta", 0.0, 1.0)
-    alpha = _real(alpha, "alpha", 0.0, 1.0, "(]")
-    return _quotient(profile.c_phi * math.log(_quotient(32.0 * k, delta, "delta")), alpha, "alpha")
+    return _phi(k, _real(delta, "delta", 0.0, 1.0), _real(alpha, "alpha", 0.0, 1.0, "(]"), profile)
 
 
 def k_plus_size(k: int, delta: float, profile: Profile) -> int:
     """Enlarged solution size k + ceil(c_kplus * ln(32k/delta))."""
-    k = _whole(k, "k", high=_FLOAT_MAX)
-    delta = _real(delta, "delta", 0.0, 1.0)
-    return k + math.ceil(profile.c_kplus * math.log(_quotient(32.0 * k, delta, "delta")))
+    return _k_plus(_whole(k, "k", high=_FLOAT_MAX), _real(delta, "delta", 0.0, 1.0), profile)
 
 
 def quota_default(k_plus: int, delta: float) -> int:
     """Per-center selection quota ceil(log2(8 * k_plus / delta)); base-2 log."""
-    k_plus = _whole(k_plus, "k_plus", high=_FLOAT_MAX)
-    delta = _real(delta, "delta", 0.0, 1.0)
-    return math.ceil(math.log2(_quotient(8.0 * k_plus, delta, "delta")))
+    return _quota(_whole(k_plus, "k_plus", high=_FLOAT_MAX), _real(delta, "delta", 0.0, 1.0))
 
 
 def psi_truncation_count(k: int, alpha: float, phi: float) -> int:
     """Number of largest phase-2 distances discarded: floor(2*alpha*(k+1)*phi)."""
     k = _whole(k, "k", high=_FLOAT_MAX)
-    alpha = _real(alpha, "alpha", 0.0)
-    phi = _real(phi, "phi", 0.0, ends="[)")
+    return _psi_drop(k, _real(alpha, "alpha", 0.0), _real(phi, "phi", 0.0, ends="[)"))
+
+
+# The four formulas above, for arguments that their caller has checked: a
+# schedule checks each argument once, not once per copy and formula.
+def _phi(k: int, delta: float, alpha: float, profile: Profile) -> float:
+    return _quotient(profile.c_phi * math.log(_quotient(32.0 * k, delta, "delta")), alpha, "alpha")
+
+
+def _k_plus(k: int, delta: float, profile: Profile) -> int:
+    return k + math.ceil(profile.c_kplus * math.log(_quotient(32.0 * k, delta, "delta")))
+
+
+def _quota(k_plus: int, delta: float) -> int:
+    return math.ceil(math.log2(_quotient(8.0 * k_plus, delta, "delta")))
+
+
+def _psi_drop(k: int, alpha: float, phi: float) -> int:
     return math.floor(_real(2.0 * alpha * (k + 1) * phi, "2*alpha*(k+1)*phi", 0.0, ends="[)"))
 
 

@@ -28,10 +28,10 @@ from .params import (
     PROFILES,
     PSI_DENOM,
     Profile,
-    k_plus_size,
-    phi_alpha,
-    psi_truncation_count,
-    quota_default,
+    _k_plus,
+    _phi,
+    _psi_drop,
+    _quota,
     selection_threshold,
 )
 from .solvers import Solver
@@ -78,20 +78,22 @@ class SelectProcConfig:
     p2_end: int = field(init=False)  # a field, not a property: `observe` reads it per point
 
     def __post_init__(self) -> None:
-        for name in ("k", "p1_end", "p3_end"):
+        object.__setattr__(self, "k", _whole(self.k, "k", high=_FLOAT_MAX))
+        for name in ("p1_end", "p3_end"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         object.__setattr__(self, "p2_end", 2 * self.p1_end)
         object.__setattr__(self, "delta", _real(self.delta, "delta", 0.0, 1.0))
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0.0, _ALPHA_MAX, "(]"))
         if not self.p2_end <= self.p3_end:
             raise ContractError(f"phase boundaries need 2*p1 <= p3, got {self.p1_end}, {self.p3_end}")
-        phi = phi_alpha(self.k, self.delta, self.alpha, self.profile)
-        k_plus = k_plus_size(self.k, self.delta, self.profile)
+        # every field is checked: derive from it with the unchecked formulas
+        phi = _phi(self.k, self.delta, self.alpha, self.profile)
+        k_plus = _k_plus(self.k, self.delta, self.profile)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "k_plus", k_plus)
-        object.__setattr__(self, "psi_drop", psi_truncation_count(self.k, self.alpha, phi))
-        quota = quota_default(k_plus, self.delta) if self.quota is None else self.quota
-        object.__setattr__(self, "quota", _whole(quota, "quota"))
+        object.__setattr__(self, "psi_drop", _psi_drop(self.k, self.alpha, phi))
+        quota = _quota(k_plus, self.delta) if self.quota is None else _whole(self.quota, "quota")
+        object.__setattr__(self, "quota", quota)
         object.__setattr__(self, "tau", phi if self.tau is None else _real(self.tau, "tau", 0.0))
 
 

@@ -9,13 +9,13 @@ factor of beta = 5, which holds when it stops at a local optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, ldexp
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError, _whole
-from .metric import CenterSet, Dataset, _point_ids, row_blocks
+from .metric import CenterSet, Dataset, _exact_block, _point_ids, _swap_screen, row_blocks
 
 __all__ = [
     "Solver",
@@ -30,8 +30,11 @@ __all__ = [
 
 EXHAUSTIVE_BUDGET = 1_000_000
 
-# Local search keeps the whole distance matrix up to this many input points;
-# above it, every pass recomputes its tiles of rows to bound memory.
+# Local search keeps one matrix up to this many input points: for coordinates of
+# `metric._SCREEN_DIM` or more dims the float32 screen of `_swap_screen`, 67 MB
+# at the limit, with exact rows computed on demand; otherwise the exact float64
+# distances, 134 MB. Above it, every pass recomputes its tiles of exact rows to
+# bound memory.
 _MATRIX_LIMIT = 4096
 # Leaves of the k = 2 exact search's candidate tree hold _LEAF_SIZE to
 # 2 * _LEAF_SIZE positions. At n = 240, leaves of 1-2 or 4-8 positions were
@@ -316,13 +319,14 @@ def _swap_risks(tile: np.ndarray, kk: int, d1, d2, order, slots, starts) -> np.n
     over the points j that slot r serves, min(tile[i, j], d2[j]) minus
     min(tile[i, j], d1[j]). Each sum runs over one row alone in a fixed
     order, so a candidate's scores do not depend on the tile it comes in.
+    The sums accumulate in float64 whatever the tile's precision.
     """
     near = np.minimum(tile, d1)
     diff = np.minimum(tile, d2)
     diff -= near
     risks = np.zeros((tile.shape[0], kk))
-    risks[:, slots] = np.add.reduceat(np.take(diff, order, axis=1), starts, axis=1)
-    risks += near.sum(axis=1)[:, None]
+    risks[:, slots] = np.add.reduceat(np.take(diff, order, axis=1), starts, axis=1, dtype=np.float64)
+    risks += near.sum(axis=1, dtype=np.float64)[:, None]
     return risks
 
 
@@ -345,6 +349,40 @@ def solve_local_search(
     candidate as before, with the same centers. `max_iters` bounds the
     sweeps, the last of them possibly cut short; beta = 5 holds only for a
     solve that stops on that rule, at a single-swap local optimum.
+
+    Distances. Up to `_MATRIX_LIMIT` points the search keeps one matrix.
+    For coordinates of `_SCREEN_DIM` or more dims it is `_swap_screen`'s
+    float32 screen, and exact float64 rows are computed only for the
+    seeding centers and for each candidate that the screen cannot rule
+    out, which includes every swapped-in row. Otherwise it is the exact
+    `pairwise` matrix. Above the limit, every pass recomputes its tiles of
+    exact rows. Every swap is decided on exact scores, so all three paths
+    select the same centers. Once the screen has passed more than m / 8
+    rows that made no swap, as on clusters far tighter than their span,
+    the solve finishes on the exact matrix.
+
+    Screen. Work in the screen's units, 2^exp times the distances: scaling
+    by a power of two is exact but for underflow. The screen scores each
+    tile with d1 and d2 scaled and rounded to float32, and sums in float64.
+    Let T = cur (1 - 1e-12) be the swap threshold and T' = 2^exp T. A row
+    whose best screened score is below T' + S_i is rescored exactly, in
+    order, and the first exact score below T is the swap. No swap is
+    missed. Take a slot whose exact score X is below T, let R be its real
+    score sum_j min(D'_j, e'_j), with e' = 2^exp d2 on the points the slot
+    serves and 2^exp d1 elsewhere, and R_s the same sum over the screen
+    and the float32 e. min is monotone and 1-Lipschitz in each argument,
+    so `_swap_screen`'s |s_j - D'_j| <= err_i + 2^-23 D'_j and e's
+    rounding (2^-24 relative, or 2^-150) give |R_s - R| <= m err_i +
+    2^-23 R. The exact sums add nonnegative terms, so 2^exp X is within
+    (m + 3) 2^-53 R of R, and R <= T' (1 + (m + 4) 2^-53), plus 2^-1074
+    where scaling T underflows. The screened score adds its float32
+    differences' rounding (2^-24 R_s, or 2^-150 a term) and its float64
+    sums' ((m + 2) 2^-53 R_s). Their total stays below
+      S_i = m err_i + T' (2^-21 + (2 m + 8) 2^-53),
+    with room for the second-order terms and for rounding T' + S_i; err_i
+    holds 2^-140 for every floor. On the exact matrix and the recomputed
+    tiles, exp = 0 and S = 0: the scores are the exact ones, and the first
+    row below T is the swap.
     """
     ids = _point_ids(points, data.n, unique=True)
     if ids.size == 0:
@@ -355,11 +393,28 @@ def solve_local_search(
     if k >= m:
         return CenterSet.of(ids)
 
-    # rows_of(sel): the distance rows of the positions in a slice or a list
-    if m <= _MATRIX_LIMIT:
+    # rows_of(sel): the exact distance rows of the positions in a slice or a
+    # list; tiles_of(sel): the rows that swaps are scored on, in units of 2^exp
+    screen = _swap_screen(ids, data) if m <= _MATRIX_LIMIT else None
+    if m > _MATRIX_LIMIT:
+        rows_of = lambda sel: data.pairwise(ids[sel], ids)
+    elif screen is None:
         rows_of = data.pairwise(ids, ids).__getitem__
     else:
-        rows_of = lambda sel: data.pairwise(ids[sel], ids)
+        rows_of = lambda sel: _exact_block(ids[sel], ids, data)
+    if screen is None:
+        tiles_of, exp, slack, rel = rows_of, 0, np.zeros(m), 0.0
+    else:
+        tiles_of, exp, slack = screen[0].__getitem__, screen[1], m * screen[2]
+        rel = 2.0**-21 + (2 * m + 8) * 2.0**-53
+    misses = 0  # exact rows that the screen passed and that made no swap
+
+    def scaled(state):
+        if screen is None:
+            return state
+        d1, d2, *groups = state
+        return (np.ldexp(d1, exp).astype(np.float32), np.ldexp(d2, exp).astype(np.float32), *groups)
+
     centers = [0]
     dmin = rows_of(slice(0, 1))[0].copy()
     for _ in range(1, k):
@@ -367,6 +422,7 @@ def solve_local_search(
         np.minimum(dmin, rows_of(slice(centers[-1], centers[-1] + 1))[0], out=dmin)
     center_rows = rows_of(centers)
     state = _assign(center_rows)
+    screen_state = scaled(state)
     cur = float(state[0].sum())
     last = -1  # sweep * m + position of the last swap, as if one came just before the first sweep
     for sweep in range(max_iters):
@@ -374,19 +430,39 @@ def solve_local_search(
             if sweep * m + blk.start > last + m:
                 # every position has been scored against the current centers
                 return CenterSet.of(ids[centers])
-            tile = rows_of(blk)
+            if screen is not None and misses > m // 8:
+                # the screen is too loose for these points: finish on the exact
+                # matrix. An exact row costs about 3 of the matrix's rows (64-d,
+                # m = 2,000), so at most about 3/8 of a matrix build is lost.
+                screen = None
+                rows_of = tiles_of = data.pairwise(ids, ids).__getitem__
+                exp, slack, rel, screen_state = 0, np.zeros(m), 0.0, state
+            tile = tiles_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
-                # a center never passes: its row is nowhere below d1, so each score is >= cur
-                risks = _swap_risks(tile[i:], k, *state)
-                hits = np.flatnonzero(risks.min(axis=1) < cur * (1.0 - 1e-12))
-                if hits.size == 0:
-                    break
-                slot = int(np.argmin(risks[hits[0]]))
-                i += int(hits[0])
-                centers[slot] = blk.start + i
-                center_rows[slot] = tile[i]
+                thr = cur * (1.0 - 1e-12)
+                risks = _swap_risks(tile[i:], k, *screen_state)
+                bound = ldexp(thr, exp) * (1.0 + rel) + slack[blk.start + i : blk.stop]
+                for hit in np.flatnonzero(risks.min(axis=1) < bound):
+                    pos = blk.start + i + int(hit)
+                    if screen is None:
+                        row, scores = tile[i + hit], risks[hit]
+                    elif pos in centers:
+                        continue  # a center's row is nowhere below d1, so each exact score is >= cur
+                    else:
+                        row = rows_of([pos])[0]
+                        scores = _swap_risks(row[None], k, *state)[0]
+                    if scores.min() < thr:
+                        break
+                    misses += 1
+                else:
+                    break  # no swap in the rest of this tile
+                slot = int(np.argmin(scores))
+                i += int(hit)
+                centers[slot] = pos
+                center_rows[slot] = row
                 state = _assign(center_rows)
+                screen_state = scaled(state)
                 cur = float(state[0].sum())
                 last = sweep * m + blk.start + i
                 i += 1

@@ -44,6 +44,33 @@ def near_tie_dataset(seed):
     return Dataset.from_coords(rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 6))
 
 
+def near_tie_dataset_nd(seed, dim):
+    """`near_tie_dataset` in `dim` dims, with about a quarter of its rows
+    copies of others."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 64))
+    x = rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 6)
+    x[rng.integers(0, n, n // 4)] = x[rng.integers(0, n, n // 4)]
+    return Dataset.from_coords(x)
+
+
+def screened_datasets():
+    """Coordinates of 8 to 200 dims, which local search scores on its float32
+    screen: near ties at random scales with duplicated rows, all-equal points,
+    a squared span just inside `metric._MAX_SPAN_SQ`, coordinates whose
+    squares underflow, and clusters far tighter than their span."""
+    out = [near_tie_dataset_nd(seed, dim) for seed in (34, 54, 71, 75) for dim in (8, 16, 64, 200)]
+    out.append(Dataset.from_coords(np.full((20, 16), -7.25)))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(30, 8))
+    span_sq = np.sum(np.square(x.max(axis=0) - x.min(axis=0)))
+    out.append(Dataset.from_coords(x * np.sqrt(0.99 * metric_mod._MAX_SPAN_SQ / span_sq)))
+    out.append(Dataset.from_coords(rng.normal(size=(30, 64)) * 1e-160))
+    means = rng.uniform(size=(4, 8))
+    out.append(Dataset.from_coords(means[rng.integers(0, 4, 60)] + 1e-9 * rng.normal(size=(60, 8))))
+    return out
+
+
 def assert_single_swap_optimum(data: Dataset, ids, k):
     """No (remove, insert) pair, scored by `risk()`, beats the converged
     local search by more than its relative 1e-12 threshold."""
@@ -221,18 +248,51 @@ class TestLocalSearch:
         ]
         assert all(a >= b - 1e-9 for a, b in zip(risks, risks[1:]))
 
-    # tiles of 1 row, and of 7 rows at m = 120 (5 at m = 150, 21 at m = 40)
+    # tiles of 1 row, and of 7 rows at m = 120 (5 at m = 150, 21 at m = 40);
+    # "matrix" screens the inputs of 8 or more dims, "unscreened" none of them
     @pytest.mark.parametrize("block_cells", [1, 7 * 120, None], ids=["rows1", "rows7", "rows-default"])
-    @pytest.mark.parametrize("matrix_limit", [None, 0], ids=["matrix", "recomputed"])
-    def test_tiles_and_matrix_do_not_move_selections(self, pool_dataset, monkeypatch, block_cells, matrix_limit):
+    @pytest.mark.parametrize("path", ["matrix", "recomputed", "unscreened"])
+    def test_tiles_and_matrix_do_not_move_selections(self, pool_dataset, monkeypatch, block_cells, path):
         cases = [(pool_dataset, range(120), 3), (pool_dataset, range(0, 300, 2), 5)]
         cases += [(ds, range(ds.n), k) for ds in map(near_tie_dataset, (34, 54, 71, 75)) for k in (2, 3)]
+        cases += [(ds, range(ds.n), k) for ds in screened_datasets() for k in (1, 3, ds.n - 1, ds.n)]
         expected = [solve_local_search(ids, k, ds) for ds, ids, k in cases]
         if block_cells is not None:
             monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", block_cells)
-        if matrix_limit is not None:
-            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", matrix_limit)
+        if path == "recomputed":
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 0)
+        if path == "unscreened":
+            monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
         assert [solve_local_search(ids, k, ds) for ds, ids, k in cases] == expected
+
+    @pytest.mark.parametrize("case", range(len(screened_datasets())))
+    def test_screen_values_lie_within_their_row_bound(self, case):
+        ds = screened_datasets()[case]
+        ids = np.arange(ds.n)
+        screen, exp, err = metric_mod._swap_screen(ids, ds)
+        exact = np.ldexp(ds.pairwise(ids, ids), exp)
+        assert screen.dtype == np.float32 and np.all(err > 0.0)
+        assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
+
+    def test_screen_serves_coordinates_of_screen_dim_dims(self):
+        ids = np.arange(12)
+        for dim in (metric_mod._SCREEN_DIM - 1, metric_mod._SCREEN_DIM):
+            ds = Dataset.from_coords(np.random.default_rng(dim).normal(size=(12, dim)))
+            assert (metric_mod._swap_screen(ids, ds) is None) == (dim < metric_mod._SCREEN_DIM)
+            exact = metric_mod._exact_block(ids[[3, 0, 7]], ids, ds)
+            assert np.array_equal(exact, ds.pairwise(ids[[3, 0, 7]], ids))
+        as_matrix = Dataset.from_matrix(ds.pairwise(ids, ids))
+        assert metric_mod._swap_screen(ids, as_matrix) is None
+
+    def test_loose_screen_falls_back_to_the_exact_matrix(self, monkeypatch):
+        ds = screened_datasets()[-1]  # clusters 1e-9 wide: the screen passes nearly every row
+        built = []
+        pairwise = Dataset.pairwise
+        monkeypatch.setattr(Dataset, "pairwise", lambda self, r, c: built.append(len(r)) or pairwise(self, r, c))
+        screened = solve_local_search(range(ds.n), 4, ds)
+        assert built == [ds.n]  # the exact matrix, built once the screen had passed m / 8 rows in vain
+        monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
+        assert solve_local_search(range(ds.n), 4, ds) == screened
 
     @pytest.mark.parametrize("centers", [[5], [0, 150, 0], list(range(0, 300, 19))], ids=["one", "empty-slot", "sixteen"])
     def test_swap_scores_are_bitwise_row_independent(self, pool_dataset, centers):
@@ -272,6 +332,9 @@ class TestLocalSearch:
         assert_single_swap_optimum(pool_dataset, range(0, 300, 9), k)
         for seed in (34, 54, 71, 75, 2, 8):
             ds = near_tie_dataset(seed)
+            assert_single_swap_optimum(ds, range(min(ds.n, 40)), k)
+        for seed, dim in ((34, 8), (54, 64), (71, 8), (75, 64)):
+            ds = near_tie_dataset_nd(seed, dim)
             assert_single_swap_optimum(ds, range(min(ds.n, 40)), k)
 
     def test_returns_subset_of_input(self, pool_dataset):
