@@ -284,6 +284,20 @@ class TestLocalSearch:
         as_matrix = Dataset.from_matrix(ds.pairwise(ids, ids))
         assert metric_mod._swap_screen(ids, as_matrix) is None
 
+    def test_screen_selects_as_the_exact_matrix_on_blobs(self, monkeypatch):
+        # 64-d blobs with outliers, as a copy's phase-1 prefix: many swaps, each decided on an exact row
+        rng = np.random.default_rng(8)
+        x = np.vstack([rng.normal(size=(580, 64)) + 40.0 * rng.integers(0, 2, size=(8, 64))[rng.integers(0, 8, 580)],
+                       rng.uniform(-20.0, 60.0, size=(20, 64))])
+        ds = Dataset.from_coords(x)
+        ids = np.arange(ds.n)
+        screen, exp, err = metric_mod._swap_screen(ids, ds)
+        exact = np.ldexp(ds.pairwise(ids, ids), exp)
+        assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
+        screened = [solve_local_search(ids, k, ds) for k in (8, 26)]
+        monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
+        assert [solve_local_search(ids, k, ds) for k in (8, 26)] == screened
+
     def test_loose_screen_falls_back_to_the_exact_matrix(self, monkeypatch):
         ds = screened_datasets()[-1]  # clusters 1e-9 wide: the screen passes nearly every row
         built = []
