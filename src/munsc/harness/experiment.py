@@ -9,12 +9,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError, _real, _whole
+from ..errors import BudgetExceededError, ContractError, _real, _whole
 from ..metric import Dataset, risk
 from ..multiscale import MunscResult, compute_schedule, run_stream
 from ..oracle import exact_opt, exact_opt_budget_ok
 from ..params import PROFILES
-from ..solvers import Solver, solve_local_search
+from ..solvers import EXHAUSTIVE_BUDGET, Solver, solve_local_search
 from ..stream import InstrumentedStream
 
 __all__ = ["ExperimentReport", "run_experiment", "SCHEMA_VERSION"]
@@ -109,6 +109,13 @@ def run_experiment(
         raise ContractError(f"unknown oracle mode {oracle!r}")
     if not (isinstance(profile, str) and profile in PROFILES):
         raise ContractError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+    if oracle == "auto":
+        oracle = "exact" if exact_opt_budget_ok(data.n, k) else "local-search"
+    elif oracle == "exact" and not exact_opt_budget_ok(data.n, k):
+        raise BudgetExceededError(
+            f"the exact oracle over C({data.n}, {k}) center sets exceeds its budget of {EXHAUSTIVE_BUDGET}; "
+            "use the oracle 'auto' or 'local-search'"
+        )
     t0 = time.perf_counter()
     schedule = compute_schedule(k, delta, data.n, PROFILES[profile])
     perm = np.random.default_rng(permutation_seed).permutation(data.n)
@@ -123,8 +130,6 @@ def run_experiment(
     else:
         achieved = risk(all_ids, result.centers, data)
 
-    if oracle == "auto":
-        oracle = "exact" if exact_opt_budget_ok(data.n, k) else "local-search"
     if oracle == "exact":
         opt = exact_opt(data, k)
         oracle_label: str | None = "exact"

@@ -65,9 +65,6 @@ _MAX_SPAN_SQ = float(np.finfo(np.float64).max) / 2
 # 8-d. In 2-d the strided copy costs about as much as the kernel: m = 4096
 # took 88 -> 134 ms mirrored (2-vCPU Intel Xeon host).
 _MIRROR_DIM = 8
-# Local search on coordinates of at least this many dims scores its swaps on
-# a float32 GEMM screen (`_swap_screen`) in place of the exact matrix.
-_SCREEN_DIM = 8
 # A 2-d reference set of at most this many centers is searched by a plain
 # Python loop, a larger one by numpy. Per lookup (timeit, min of 15 repeats,
 # 2-vCPU Intel Xeon host), numpy took 4.7, 5.6, 6.9, 6.1 and 6.3 us at 8, 16,
@@ -490,9 +487,8 @@ def _exact_block(rows: np.ndarray, cols: np.ndarray, data: Dataset) -> np.ndarra
     return pairs.reshape(rows.size, cols.size)
 
 
-def _swap_screen(ids: np.ndarray, data: Dataset) -> tuple[np.ndarray, int, np.ndarray] | None:
-    """A float32 screen of `data.pairwise(ids, ids)` for local search, or None
-    for a matrix dataset and for coordinates of fewer than `_SCREEN_DIM` dims.
+def _swap_screen(ids: np.ndarray, data: Dataset) -> tuple[np.ndarray, int, np.ndarray]:
+    """A float32 screen of `data.pairwise(ids, ids)` for local search, on coordinates.
 
     Returns (s, exp, err). With D the bits of `pairwise` and D' = 2^exp D,
     every stored value satisfies |s[i, j] - D'[i, j]| <= err[i] + 2^-23 D'[i, j].
@@ -522,8 +518,6 @@ def _swap_screen(ids: np.ndarray, data: Dataset) -> tuple[np.ndarray, int, np.nd
     floats (coordinates so small that the floor overflows) gives err = inf.
     """
     x = data.coords
-    if x is None or x.shape[1] < _SCREEN_DIM:
-        return None
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         a = x[ids] - x[ids].mean(axis=0)
         exp = -frexp(np.abs(a).max(initial=0.0))[1]  # 2^exp puts the largest |a_t| in [1/2, 1)

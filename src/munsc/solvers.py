@@ -31,11 +31,13 @@ __all__ = [
 EXHAUSTIVE_BUDGET = 1_000_000
 
 # Local search keeps one matrix up to this many input points: for coordinates of
-# `metric._SCREEN_DIM` or more dims the float32 screen of `_swap_screen`, 67 MB
-# at the limit, with exact rows computed on demand; otherwise the exact float64
+# `_SCREEN_DIM` or more dims the float32 screen of `_swap_screen`, 67 MB at the
+# limit, with exact rows computed on demand; otherwise the exact float64
 # distances, 134 MB. Above it, every pass recomputes its tiles of exact rows to
 # bound memory.
 _MATRIX_LIMIT = 4096
+# 4-d screens lost to the exact matrix at every m; 8-d and 16-d won from m = 2,000
+_SCREEN_DIM = 8
 # Leaves of the k = 2 exact search's candidate tree hold _LEAF_SIZE to
 # 2 * _LEAF_SIZE positions. At n = 240, leaves of 1-2 or 4-8 positions were
 # slower, with or without pruning (2-vCPU AMD EPYC host).
@@ -352,9 +354,9 @@ def solve_local_search(
 
     Distances. Up to `_MATRIX_LIMIT` points the search keeps one matrix.
     For coordinates of `_SCREEN_DIM` or more dims it is `_swap_screen`'s
-    float32 screen, and exact float64 rows are computed only for the
-    seeding centers and for each candidate that the screen cannot rule
-    out, which includes every swapped-in row. Otherwise it is the exact
+    float32 screen, and exact float64 rows are computed once for each
+    seeding center and then only for each candidate that the screen cannot
+    rule out, which includes every swapped-in row. Otherwise it is the exact
     `pairwise` matrix. Above the limit, every pass recomputes its tiles of
     exact rows. Every swap is decided on exact scores, so all three paths
     select the same centers. Once the screen has passed more than m / 8
@@ -393,36 +395,16 @@ def solve_local_search(
     if k >= m:
         return CenterSet.of(ids)
 
-    # rows_of(sel): the exact distance rows of the positions in a slice or a
-    # list; tiles_of(sel): the rows that swaps are scored on, in units of 2^exp
-    screen = _swap_screen(ids, data) if m <= _MATRIX_LIMIT else None
-    if m > _MATRIX_LIMIT:
-        rows_of = lambda sel: data.pairwise(ids[sel], ids)
-    elif screen is None:
-        rows_of = data.pairwise(ids, ids).__getitem__
-    else:
-        rows_of = lambda sel: _exact_block(ids[sel], ids, data)
-    if screen is None:
-        tiles_of, exp, slack, rel = rows_of, 0, np.zeros(m), 0.0
-    else:
-        tiles_of, exp, slack = screen[0].__getitem__, screen[1], m * screen[2]
-        rel = 2.0**-21 + (2 * m + 8) * 2.0**-53
+    tiles_of, rows_of, exp, rel, slack = _distance_source(ids, data, screen=True)
     misses = 0  # exact rows that the screen passed and that made no swap
 
-    def scaled(state):
-        if screen is None:
-            return state
-        d1, d2, *groups = state
-        return (np.ldexp(d1, exp).astype(np.float32), np.ldexp(d2, exp).astype(np.float32), *groups)
-
-    centers = [0]
-    dmin = rows_of(slice(0, 1))[0].copy()
-    for _ in range(1, k):
+    centers, seeded, dmin = [], [], np.full(m, np.inf)  # the first pick, the first maximum, is position 0
+    for _ in range(k):
         centers.append(int(dmin.argmax()))
-        np.minimum(dmin, rows_of(slice(centers[-1], centers[-1] + 1))[0], out=dmin)
-    center_rows = rows_of(centers)
+        seeded.append(rows_of([centers[-1]])[0])
+        np.minimum(dmin, seeded[-1], out=dmin)
+    center_rows = np.array(seeded)
     state = _assign(center_rows)
-    screen_state = scaled(state)
     cur = float(state[0].sum())
     last = -1  # sweep * m + position of the last swap, as if one came just before the first sweep
     for sweep in range(max_iters):
@@ -430,22 +412,23 @@ def solve_local_search(
             if sweep * m + blk.start > last + m:
                 # every position has been scored against the current centers
                 return CenterSet.of(ids[centers])
-            if screen is not None and misses > m // 8:
+            if tiles_of is not rows_of and misses > m // 8:
                 # the screen is too loose for these points: finish on the exact
                 # matrix. An exact row costs about 3 of the matrix's rows (64-d,
                 # m = 2,000), so at most about 3/8 of a matrix build is lost.
-                screen = None
-                rows_of = tiles_of = data.pairwise(ids, ids).__getitem__
-                exp, slack, rel, screen_state = 0, np.zeros(m), 0.0, state
+                tiles_of, rows_of, exp, rel, slack = _distance_source(ids, data, screen=False)
             tile = tiles_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
                 thr = cur * (1.0 - 1e-12)
-                risks = _swap_risks(tile[i:], k, *screen_state)
+                d1, d2 = state[:2]
+                if tiles_of is not rows_of:  # into the screen's units and precision
+                    d1, d2 = (np.ldexp(d, exp).astype(np.float32) for d in (d1, d2))
+                risks = _swap_risks(tile[i:], k, d1, d2, *state[2:])
                 bound = ldexp(thr, exp) * (1.0 + rel) + slack[blk.start + i : blk.stop]
                 for hit in np.flatnonzero(risks.min(axis=1) < bound):
                     pos = blk.start + i + int(hit)
-                    if screen is None:
+                    if tiles_of is rows_of:
                         row, scores = tile[i + hit], risks[hit]
                     elif pos in centers:
                         continue  # a center's row is nowhere below d1, so each exact score is >= cur
@@ -462,11 +445,27 @@ def solve_local_search(
                 centers[slot] = pos
                 center_rows[slot] = row
                 state = _assign(center_rows)
-                screen_state = scaled(state)
                 cur = float(state[0].sum())
                 last = sweep * m + blk.start + i
                 i += 1
     return CenterSet.of(ids[centers])
+
+
+def _distance_source(ids: np.ndarray, data: Dataset, screen: bool):
+    """(tiles_of, rows_of, exp, rel, slack) for `solve_local_search`: the rows
+    that swaps are scored on, in units of 2^exp, and the exact rows that
+    decide them. On the exact paths tiles_of is rows_of, and exp, rel and
+    slack are 0; past `_MATRIX_LIMIT` points both recompute exact rows."""
+    m = ids.size
+    if m > _MATRIX_LIMIT:
+        rows_of = lambda sel: data.pairwise(ids[sel], ids)
+    elif screen and (data.dim or 0) >= _SCREEN_DIM:
+        tiles, exp, err = _swap_screen(ids, data)
+        rel = 2.0**-21 + (2 * m + 8) * 2.0**-53
+        return tiles.__getitem__, lambda sel: _exact_block(ids[sel], ids, data), exp, rel, m * err
+    else:
+        rows_of = data.pairwise(ids, ids).__getitem__
+    return rows_of, rows_of, 0, 0.0, np.zeros(m)
 
 
 def exhaustive_solver() -> Solver:

@@ -9,6 +9,7 @@ import pytest
 
 from munsc import (
     PROFILES,
+    BudgetExceededError,
     ContractError,
     Dataset,
     InstrumentedStream,
@@ -255,6 +256,16 @@ class TestRunExperiment:
                 solver=local_search_solver(max_iters=10), permutation_seed=0, oracle="nope",
             )
 
+    def test_over_budget_exact_oracle_fails_before_streaming(self, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "run_stream", lambda *args: pytest.fail("a point was streamed"))
+        data = Dataset.from_coords(np.zeros((1500, 2)))  # C(1500, 2) = 1,124,250 center sets
+        message = r"^the exact oracle over C\(1500, 2\) center sets .* use the oracle 'auto' or 'local-search'$"
+        with pytest.raises(BudgetExceededError, match=message):
+            run_experiment(
+                data, k=2, delta=0.2, profile="desk",
+                solver=local_search_solver(max_iters=10), permutation_seed=0, oracle="exact",
+            )
+
 
 class TestCli:
     def test_gen_run_roundtrip(self, tmp_path, capsys):
@@ -348,6 +359,20 @@ class TestCli:
         assert cli_main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"munsc: error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_over_budget_exact_oracle_is_one_line_before_streaming(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "run_stream", lambda *args: pytest.fail("a point was streamed"))
+        data_path = tmp_path / "d.csv"
+        save_dataset(generate_gaussian_mixture(1500, 2, 2, 50.0, 0.02, seed=3).dataset, data_path)
+        out = tmp_path / "out"
+        argv = ["run", "--data", str(data_path), "--k", "2", "--oracle", "exact", "--out", str(out)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "munsc: error: the exact oracle over C(1500, 2) center sets exceeds its budget of 1000000; "
+            "use the oracle 'auto' or 'local-search'\n"
+        )
         assert captured.out == "" and not out.exists()
 
     def test_bench_lemmas_suite(self, tmp_path):

@@ -262,7 +262,7 @@ class TestLocalSearch:
         if path == "recomputed":
             monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 0)
         if path == "unscreened":
-            monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
+            monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
         assert [solve_local_search(ids, k, ds) for ds, ids, k in cases] == expected
 
     @pytest.mark.parametrize("case", range(len(screened_datasets())))
@@ -274,15 +274,50 @@ class TestLocalSearch:
         assert screen.dtype == np.float32 and np.all(err > 0.0)
         assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
 
-    def test_screen_serves_coordinates_of_screen_dim_dims(self):
+    def test_screen_serves_coordinates_of_screen_dim_dims(self, monkeypatch):
         ids = np.arange(12)
-        for dim in (metric_mod._SCREEN_DIM - 1, metric_mod._SCREEN_DIM):
+
+        def screened(ds, screen=True):
+            tiles_of, rows_of, *_ = solvers_mod._distance_source(ids, ds, screen)
+            assert np.array_equal(rows_of([3, 0, 7]), ds.pairwise(ids[[3, 0, 7]], ids))
+            return tiles_of is not rows_of and tiles_of(slice(0, 12)).dtype == np.float32
+
+        for dim in (solvers_mod._SCREEN_DIM - 1, solvers_mod._SCREEN_DIM):
             ds = Dataset.from_coords(np.random.default_rng(dim).normal(size=(12, dim)))
-            assert (metric_mod._swap_screen(ids, ds) is None) == (dim < metric_mod._SCREEN_DIM)
+            assert screened(ds) == (dim == solvers_mod._SCREEN_DIM)
             exact = metric_mod._exact_block(ids[[3, 0, 7]], ids, ds)
             assert np.array_equal(exact, ds.pairwise(ids[[3, 0, 7]], ids))
-        as_matrix = Dataset.from_matrix(ds.pairwise(ids, ids))
-        assert metric_mod._swap_screen(ids, as_matrix) is None
+        assert not screened(ds, screen=False)  # the fallback to the exact matrix
+        assert not screened(Dataset.from_matrix(ds.pairwise(ids, ids)))
+        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 11)
+        assert not screened(ds)
+
+    @pytest.mark.parametrize("path", ["screened", "recomputed"])
+    def test_each_seeding_row_is_computed_once(self, monkeypatch, path):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 64)) + 40.0 * rng.integers(0, 2, size=(4, 64))[rng.integers(0, 4, 300)]
+        ds, ids, k = Dataset.from_coords(x), np.arange(300), 8
+        exact = ds.pairwise(ids, ids)
+        seeding, dmin = [0], exact[0].copy()  # farthest-point seeding, from position 0
+        for _ in range(1, k):
+            seeding.append(int(dmin.argmax()))
+            np.minimum(dmin, exact[seeding[-1]], out=dmin)
+        fetched = []  # the positions of each block of exact rows, in the order fetched
+        if path == "screened":
+            exact_block = solvers_mod._exact_block
+            spy = lambda r, c, d: fetched.append(r.tolist()) or exact_block(r, c, d)
+            monkeypatch.setattr(solvers_mod, "_exact_block", spy)
+            later = lambda rows: len(rows) == 1  # one candidate that the screen passed
+        else:
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 0)
+            pairwise = Dataset.pairwise
+            spy = lambda self, r, c: fetched.append(np.asarray(r).tolist()) or pairwise(self, r, c)
+            monkeypatch.setattr(Dataset, "pairwise", spy)
+            tiles = [ids[blk].tolist() for blk in metric_mod.row_blocks(ds.n, ds.n)]
+            later = lambda rows: rows in tiles
+        solve_local_search(ids, k, ds)
+        assert fetched[:k] == [[p] for p in seeding]
+        assert len(fetched) > k and all(map(later, fetched[k:]))  # and never again as a block of centers
 
     def test_screen_selects_as_the_exact_matrix_on_blobs(self, monkeypatch):
         # 64-d blobs with outliers, as a copy's phase-1 prefix: many swaps, each decided on an exact row
@@ -295,7 +330,7 @@ class TestLocalSearch:
         exact = np.ldexp(ds.pairwise(ids, ids), exp)
         assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
         screened = [solve_local_search(ids, k, ds) for k in (8, 26)]
-        monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
+        monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
         assert [solve_local_search(ids, k, ds) for k in (8, 26)] == screened
 
     def test_loose_screen_falls_back_to_the_exact_matrix(self, monkeypatch):
@@ -305,7 +340,7 @@ class TestLocalSearch:
         monkeypatch.setattr(Dataset, "pairwise", lambda self, r, c: built.append(len(r)) or pairwise(self, r, c))
         screened = solve_local_search(range(ds.n), 4, ds)
         assert built == [ds.n]  # the exact matrix, built once the screen had passed m / 8 rows in vain
-        monkeypatch.setattr(metric_mod, "_SCREEN_DIM", 10**9)
+        monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
         assert solve_local_search(range(ds.n), 4, ds) == screened
 
     @pytest.mark.parametrize("centers", [[5], [0, 150, 0], list(range(0, 300, 19))], ids=["one", "empty-slot", "sixteen"])
