@@ -499,9 +499,7 @@ def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     floats (coordinates so small that the floor overflows) gives err = inf.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        a = x - x.mean(axis=0)
-        exp = -frexp(np.abs(a).max(initial=0.0))[1]  # 2^exp puts the largest |a_t| in [1/2, 1)
-        np.ldexp(a, exp, out=a)
+        a, exp = _scaled(x)
         coef, neg2, sq, base = _screen_centers(a, exp, np.float64)
         err = 2.0 * np.sqrt(coef * sq + base + (a.shape[1] + 4) * 2.0**-53 * (sq + sq.max())) + 2.0**-140
     m = x.shape[0]
@@ -513,6 +511,65 @@ def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
         np.maximum(q, 0.0, out=q)
         s[blk] = np.sqrt(q, out=q)
     return s, exp, err
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """fl(x - mean) times 2^exp, the power of two that puts its largest |value| in [1/2, 1), and exp."""
+    a = x - x.mean(axis=0)
+    exp = -frexp(np.abs(a).max(initial=0.0))[1]
+    np.ldexp(a, exp, out=a)
+    return a, exp
+
+
+def _diff_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """A float32 screen of `_pair_dists(x[:, None], x)` for local search on
+    coordinate rows x of 1 to 7 dims, computed tile by tile by `_diff_tile`.
+
+    Returns (f, exp, err): f = fl32(A).T, one contiguous row per coordinate,
+    for A = 2^exp fl(x - mean) as in `_swap_screen`, rounded to float32 once.
+    With D the bits of `_pair_dists` and D' = 2^exp D, every value s of
+    `_diff_tile(f[:, rows], f)` satisfies |s[i, j] - D'[i, j]| <= err[i] +
+    2^-21 D'[i, j].
+
+    Bound. Let u = 2^-24, w = 2^-53, d the dim and v = 2^exp (x_i - x_j)
+    exactly, so R = |v| is the real distance in the screen's units. The
+    shift rounds each A_t by w |A_t|, scaling by 2^exp by 2^-1075 where it
+    underflows, and the float32 store by u |A_t| + 2^-150; so the exact
+    differences g_t of the float32 coordinates lie within (u + 2w)(|A_it| +
+    |A_jt|) + 2^-149 of v_t, and by the triangle inequality in R^d,
+    | |g| - R | <= G_i = (u + 2w)(|A_i| + max_j |A_j|) + sqrt(d) 2^-148.
+    In float32, a difference rounds by u relative (a subnormal one is
+    exact), a square by u relative or 2^-150, and d squares summed in any
+    order by (d - 1) u relative; so the sum lies within (d + 2) u |g|^2 +
+    d 2^-150 of |g|^2, its root within (d + 2) u / 2 |g| + sqrt(d) 2^-75
+    of |g|, and s, rounded once more, within c0 |g| + sqrt(d) 2^-75 (1 + u),
+    c0 = (d + 4) u / 2 to first order. The exact kernel errs the same way
+    in float64, by (d + 4) w / 2 R, plus its squares' underflow, at most d
+    2^-1075, which moves D' by at most sqrt(d) 2^(exp - 537). Together,
+    |s - D'| <= (c0 + (d + 4) w) D' + (1 + c0) G_i + sqrt(d) (2^-74.9 +
+    2^(exp - 536)) to first order. For d <= 7, c0 <= 5.5 u < 2^-21, and
+      err_i = 2^-23 (|A_i| + max_j |A_j|) + sqrt(d) (2^-73 + 2^(exp - 535))
+    doubles the rest, which leaves room for the second-order terms and for
+    rounding err_i. Every |A_t| < 1, so no float32 value can overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        a, exp = _scaled(x)
+        norm = np.sqrt(np.einsum("ij,ij->i", a, a))
+        err = 2.0**-23 * (norm + norm.max()) + sqrt(x.shape[1]) * (2.0**-73 + 2.0 ** (exp - 535))
+    return np.ascontiguousarray(a.T, dtype=np.float32), exp, err
+
+
+def _diff_tile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float32 distances between the columns of a and of b, rows of
+    `_diff_screen`'s f: per coordinate a difference and a square, summed in
+    coordinate order, then `sqrt`, each step in float32."""
+    acc = np.subtract.outer(a[0], b[0])
+    acc *= acc
+    for t in range(1, a.shape[0]):
+        term = np.subtract.outer(a[t], b[t])
+        term *= term
+        acc += term
+    return np.sqrt(acc, out=acc)
 
 
 def _screened_nearest(

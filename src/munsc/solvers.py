@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, ContractError, _whole
-from .metric import CenterSet, Dataset, _pair_dists, _point_ids, _swap_screen, row_blocks
+from .metric import CenterSet, Dataset, _diff_screen, _diff_tile, _pair_dists, _point_ids, _swap_screen, row_blocks
 
 __all__ = [
     "Solver",
@@ -33,10 +33,15 @@ EXHAUSTIVE_BUDGET = 1_000_000
 # Local search keeps one matrix up to this many input points: for coordinates of
 # `_SCREEN_DIM` or more dims the float32 screen of `_swap_screen`, 67 MB at the
 # limit, with exact rows computed on demand; otherwise the exact float64
-# distances, 134 MB. Above it, every pass recomputes its tiles of exact rows to
-# bound memory.
+# distances, 134 MB. Above it, to bound memory, every pass computes its tiles
+# afresh: float32 `_diff_tile` screens for coordinates of fewer than
+# `_SCREEN_DIM` dims (`cliff-2d`'s 2-d solves of 4,200 points took 0.26-0.40 s
+# against 0.84-1.16 s on exact tiles, warm, 2-vCPU Intel Xeon host), exact rows
+# otherwise.
 _MATRIX_LIMIT = 4096
-# 4-d screens lost to the exact matrix at every m; 8-d and 16-d won from m = 2,000
+# Below the limit, 4-d screens lost to the exact matrix at every m, and 8-d and
+# 16-d won from m = 2,000. Past it, 8+ dims keep exact tiles: `_diff_screen`'s
+# bound is derived for 1 to 7 dims.
 _SCREEN_DIM = 8
 # Leaves of the k = 2 exact search's candidate tree hold _LEAF_SIZE to
 # 2 * _LEAF_SIZE positions. At n = 240, leaves of 1-2 or 4-8 positions were
@@ -321,13 +326,17 @@ def _swap_risks(tile: np.ndarray, kk: int, d1, d2, order, slots, starts) -> np.n
     over the points j that slot r serves, min(tile[i, j], d2[j]) minus
     min(tile[i, j], d1[j]). Each sum runs over one row alone in a fixed
     order, so a candidate's scores do not depend on the tile it comes in.
-    The sums accumulate in float64 whatever the tile's precision.
+    The sums accumulate in float64 whatever the tile's precision. With
+    `order` None, the tile's columns, d1 and d2 already come grouped by
+    slot, as `order` would group them; that changes the order of the sums,
+    which only a screen's slack can absorb.
     """
     near = np.minimum(tile, d1)
     diff = np.minimum(tile, d2)
     diff -= near
     risks = np.zeros((tile.shape[0], kk))
-    risks[:, slots] = np.add.reduceat(np.take(diff, order, axis=1), starts, axis=1, dtype=np.float64)
+    grouped = diff if order is None else np.take(diff, order, axis=1)
+    risks[:, slots] = np.add.reduceat(grouped, starts, axis=1, dtype=np.float64)
     risks += near.sum(axis=1, dtype=np.float64)[:, None]
     return risks
 
@@ -352,16 +361,19 @@ def solve_local_search(
     sweeps, the last of them possibly cut short; beta = 5 holds only for a
     solve that stops on that rule, at a single-swap local optimum.
 
-    Distances. Up to `_MATRIX_LIMIT` points the search keeps one matrix.
-    For coordinates of `_SCREEN_DIM` or more dims it is `_swap_screen`'s
-    float32 screen, and exact float64 rows are computed once for each
-    seeding center and then only for each candidate that the screen cannot
-    rule out, which includes every swapped-in row. Otherwise it is the exact
-    `pairwise` matrix. Above the limit, every pass recomputes its tiles of
-    exact rows. Every swap is decided on exact scores, so all three paths
-    select the same centers. Once the screen has passed more than m / 8
-    rows that made no swap, as on clusters far tighter than their span,
-    the solve finishes on the exact matrix.
+    Distances. Up to `_MATRIX_LIMIT` points the search keeps one matrix:
+    for coordinates of `_SCREEN_DIM` or more dims `_swap_screen`'s float32
+    screen, otherwise the exact `pairwise` matrix. Above the limit,
+    coordinates of 1 to `_SCREEN_DIM` - 1 dims are screened in float32 tile
+    by tile (`_diff_screen`), each tile computed with its columns already
+    grouped by the current slots; every other input recomputes its tiles of
+    exact rows each pass. On a screen, exact float64 rows are computed once
+    for each seeding center and then only for each candidate that the
+    screen cannot rule out, which includes every swapped-in row. Every swap
+    is decided on exact scores, so all four paths select the same centers.
+    Once a screen has passed more than m / 8 rows that made no swap, as on
+    clusters far tighter than their span, the solve finishes on exact rows:
+    the matrix up to the limit, recomputed tiles past it.
 
     Screen. Work in the screen's units, 2^exp times the distances: scaling
     by a power of two is exact but for underflow. The screen scores each
@@ -373,14 +385,15 @@ def solve_local_search(
     score sum_j min(D'_j, e'_j), with e' = 2^exp d2 on the points the slot
     serves and 2^exp d1 elsewhere, and R_s the same sum over the screen
     and the float32 e. min is monotone and 1-Lipschitz in each argument,
-    so `_swap_screen`'s |s_j - D'_j| <= err_i + 2^-23 D'_j and e's
-    rounding (2^-24 relative, or 2^-150) give |R_s - R| <= m err_i +
-    2^-23 R. The exact sums add nonnegative terms, so 2^exp X is within
-    (m + 3) 2^-53 R of R, and R <= T' (1 + (m + 4) 2^-53), plus 2^-1074
-    where scaling T underflows. The screened score adds its float32
-    differences' rounding (2^-24 R_s, or 2^-150 a term) and its float64
-    sums' ((m + 2) 2^-53 R_s). Their total stays below
-      S_i = m err_i + T' (2^-21 + (2 m + 8) 2^-53),
+    so a screen's |s_j - D'_j| <= err_i + c D'_j, with c = 2^-23 for
+    `_swap_screen` and 2^-21 for `_diff_screen`, and e's rounding (2^-24
+    relative, or 2^-150) give |R_s - R| <= m err_i + c R. The exact sums
+    add nonnegative terms, so 2^exp X is within (m + 3) 2^-53 R of R, and
+    R <= T' (1 + (m + 4) 2^-53), plus 2^-1074 where scaling T underflows.
+    The screened score adds its float32 differences' rounding (2^-24 R_s,
+    or 2^-150 a term) and its float64 sums' ((m + 2) 2^-53 R_s, in any
+    order, so a tile grouped by slot needs no more). Their total stays below
+      S_i = m err_i + T' (4 c + (2 m + 8) 2^-53),
     with room for the second-order terms and for rounding T' + S_i; err_i
     holds 2^-140 for every floor. On the exact matrix and the recomputed
     tiles, exp = 0 and S = 0: the scores are the exact ones, and the first
@@ -395,7 +408,7 @@ def solve_local_search(
     if k >= m:
         return CenterSet.of(ids)
 
-    tiles_of, rows_of, exp, rel, slack = _distance_source(ids, data, screen=True)
+    views, rows_of, exp, rel, slack = _distance_source(ids, data, screen=True)
     misses = 0  # exact rows that the screen passed and that made no swap
 
     centers, seeded, dmin = [], [], np.full(m, np.inf)  # the first pick, the first maximum, is position 0
@@ -405,6 +418,7 @@ def solve_local_search(
         np.minimum(dmin, seeded[-1], out=dmin)
     center_rows = np.array(seeded)
     state = _assign(center_rows)
+    tiles_of, *scored = views(state)
     cur = float(state[0].sum())
     last = -1  # sweep * m + position of the last swap, as if one came just before the first sweep
     for sweep in range(max_iters):
@@ -413,20 +427,20 @@ def solve_local_search(
                 # every position has been scored against the current centers
                 return CenterSet.of(ids[centers])
             if tiles_of is not rows_of and misses > m // 8:
-                # the screen is too loose for these points: finish on the exact
-                # matrix. An exact row costs about 3 of the matrix's rows (64-d,
-                # m = 2,000), so at most about 3/8 of a matrix build is lost.
-                tiles_of, rows_of, exp, rel, slack = _distance_source(ids, data, screen=False)
+                # the screen is too loose for these points: finish on exact rows.
+                # An exact row costs about 3 rows of the matrix (64-d, m = 2,000) or
+                # of a recomputed tile (2-d, m = 4,200), so at most about 3/8 of a
+                # matrix build, or of one pass over the tiles, is lost.
+                views, rows_of, exp, rel, slack = _distance_source(ids, data, screen=False)
+                tiles_of, *scored = views(state)
             tile = tiles_of(blk)
             i = 0  # tile rows from i on are yet to be scored against the current centers
             while i < tile.shape[0]:
                 thr = cur * (1.0 - 1e-12)
-                d1, d2 = state[:2]
-                if tiles_of is not rows_of:  # into the screen's units and precision
-                    d1, d2 = (np.ldexp(d, exp).astype(np.float32) for d in (d1, d2))
-                risks = _swap_risks(tile[i:], k, d1, d2, *state[2:])
+                risks = _swap_risks(tile[i:], k, *scored, *state[3:])
                 bound = ldexp(thr, exp) * (1.0 + rel) + slack[blk.start + i : blk.stop]
-                for hit in np.flatnonzero(risks.min(axis=1) < bound):
+                # a NaN score, as from coordinates whose mean overflows, passes too
+                for hit in np.flatnonzero(~(risks.min(axis=1) >= bound)):
                     pos = blk.start + i + int(hit)
                     if tiles_of is rows_of:
                         row, scores = tile[i + hit], risks[hit]
@@ -445,31 +459,59 @@ def solve_local_search(
                 centers[slot] = pos
                 center_rows[slot] = row
                 state = _assign(center_rows)
+                tiles_of, *scored = views(state)
                 cur = float(state[0].sum())
                 last = sweep * m + blk.start + i
                 i += 1
+                if scored[2] is None:  # the rest of the tile is grouped by the old slots
+                    tile[i:] = tiles_of(slice(blk.start + i, blk.stop))
     return CenterSet.of(ids[centers])
 
 
 def _distance_source(ids: np.ndarray, data: Dataset, screen: bool):
-    """(tiles_of, rows_of, exp, rel, slack) for `solve_local_search`: the rows
-    that swaps are scored on, in units of 2^exp, and the exact rows that
-    decide them. On the exact paths tiles_of is rows_of, and exp, rel and
-    slack are 0; past `_MATRIX_LIMIT` points both recompute exact rows."""
+    """(views, rows_of, exp, rel, slack) for `solve_local_search`.
+
+    rows_of(sel) gives the exact rows that decide the swaps. views(state),
+    for an `_assign` state, gives (tiles_of, d1, d2, order): tiles_of(sel)
+    the rows that swaps are scored on, in units of 2^exp, and the rest of
+    their `_swap_risks` arguments. On `_diff_tile`'s screen the tiles'
+    columns, d1 and d2 come grouped by slot, and order is None. On the
+    exact paths, the matrix up to `_MATRIX_LIMIT` points and recomputed rows
+    past it, tiles_of is rows_of and exp, rel and slack are 0.
+    """
     m = ids.size
-    if m > _MATRIX_LIMIT:
-        rows_of = lambda sel: data.pairwise(ids[sel], ids)
-    elif screen and (data.dim or 0) >= _SCREEN_DIM:
-        pts = data.coords[ids]
-        tiles, exp, err = _swap_screen(pts)
-        rel = 2.0**-21 + (2 * m + 8) * 2.0**-53
+    dim = data.dim or 0
+    # a matrix of `_swap_screen` values up to the limit from `_SCREEN_DIM` dims on;
+    # `_diff_tile`'s tiles past it below `_SCREEN_DIM` dims
+    if screen and dim and (dim < _SCREEN_DIM) == (m > _MATRIX_LIMIT):
         # exact rows are `_pair_dists` over the points gathered here, not `pairwise`
         # rows: one 64-d row of 2,000 points took 0.26 ms against 1.2 ms (min of
         # 7 x 100 calls, one BLAS thread, 2-vCPU Intel Xeon host)
-        return tiles.__getitem__, lambda sel: _pair_dists(pts[sel, None], pts), exp, rel, m * err
+        pts = data.coords[ids]
+        rows_of = lambda sel: _pair_dists(pts[sel, None], pts)
+        if m <= _MATRIX_LIMIT:
+            tiles, exp, err = _swap_screen(pts)
+            views = lambda state: (tiles.__getitem__, _in_units(state[0], exp), _in_units(state[1], exp), state[2])
+            return views, rows_of, exp, 4 * 2.0**-23 + (2 * m + 8) * 2.0**-53, m * err
+        f, exp, err = _diff_screen(pts)
+
+        def views(state):
+            order = state[2]
+            cols = f[:, order]  # regrouped once per swap
+            tiles_of = lambda sel: _diff_tile(f[:, sel], cols)
+            return tiles_of, _in_units(state[0][order], exp), _in_units(state[1][order], exp), None
+
+        return views, rows_of, exp, 4 * 2.0**-21 + (2 * m + 8) * 2.0**-53, m * err
+    if m > _MATRIX_LIMIT:
+        rows_of = lambda sel: data.pairwise(ids[sel], ids)
     else:
         rows_of = data.pairwise(ids, ids).__getitem__
-    return rows_of, rows_of, 0, 0.0, np.zeros(m)
+    return lambda state: (rows_of, *state[:3]), rows_of, 0, 0.0, np.zeros(m)
+
+
+def _in_units(d: np.ndarray, exp: int) -> np.ndarray:
+    """Distances scaled by 2^exp and rounded to float32, as a screen scores them."""
+    return np.ldexp(d, exp).astype(np.float32)
 
 
 def exhaustive_solver() -> Solver:

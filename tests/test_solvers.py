@@ -72,6 +72,24 @@ def screened_datasets():
     return out
 
 
+def diff_screened_datasets():
+    """Coordinates of 1 to 7 dims, which local search past `_MATRIX_LIMIT`
+    points scores on `_diff_screen`'s float32 tiles: per dim, blobs with
+    outliers, exact duplicates, lattice points, and the blobs at scales
+    1e-150 and 1e150; and 2-d clusters 0.001 wide shifted by 1e6."""
+    rng = np.random.default_rng(11)
+    out = []
+    for dim in range(1, 8):
+        means = 40.0 * rng.integers(0, 2, size=(4, dim))
+        x = np.vstack([rng.normal(size=(200, dim)) + means[rng.integers(0, 4, 200)],
+                       rng.uniform(-100, 140, size=(10, dim))])
+        lattice = np.array(list(itertools.product(range(-3, 4), repeat=dim))[:300], dtype=np.float64)
+        out += [x, x[rng.integers(0, 40, 150)], lattice, x * 1e-150, x * 1e150]
+    means = rng.uniform(size=(5, 2))
+    out.append(means[rng.integers(0, 5, 300)] + 0.001 * rng.uniform(size=(300, 2)) + 1e6)
+    return [Dataset.from_coords(x) for x in out]
+
+
 def assert_single_swap_optimum(data: Dataset, ids, k):
     """No (remove, insert) pair, scored by `risk()`, beats the converged
     local search by more than its relative 1e-12 threshold."""
@@ -283,23 +301,59 @@ class TestLocalSearch:
         assert screen.dtype == np.float32 and np.all(err > 0.0)
         assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-23 * exact)
 
+    @pytest.mark.parametrize("case", range(len(diff_screened_datasets())))
+    def test_diff_screen_values_lie_within_their_row_bound(self, case):
+        ds = diff_screened_datasets()[case]
+        ids = np.arange(ds.n)
+        f, exp, err = metric_mod._diff_screen(ds.coords[ids])
+        screen = metric_mod._diff_tile(f, f)
+        exact = np.ldexp(ds.pairwise(ids, ids), exp)
+        assert f.dtype == screen.dtype == np.float32 and f.shape == (ds.dim, ds.n)
+        assert np.all(err > 0.0) and np.all(err < 2.0**-20)  # tight enough to rule rows out
+        assert np.all(np.abs(screen - exact) <= err[:, None] + 2.0**-21 * exact)
+
     def test_screen_serves_coordinates_of_screen_dim_dims(self, monkeypatch):
         ids = np.arange(12)
+        sel = [3, 0, 7]
 
-        def screened(ds, screen=True):
-            tiles_of, rows_of, *_ = solvers_mod._distance_source(ids, ds, screen)
-            assert np.array_equal(rows_of([3, 0, 7]), ds.pairwise(ids[[3, 0, 7]], ids))
-            return tiles_of is not rows_of and tiles_of(slice(0, 12)).dtype == np.float32
+        def source(ds, screen=True):
+            views, rows_of, exp, rel, slack = solvers_mod._distance_source(ids, ds, screen)
+            assert np.array_equal(rows_of(sel), ds.pairwise(ids[sel], ids))
+            state = solvers_mod._assign(rows_of([0, 5, 9]))
+            tiles_of, d1, d2, order = views(state)
+            if tiles_of is rows_of:
+                assert (exp, rel) == (0, 0.0) and not slack.any() and order is state[2]
+                return "matrix" if isinstance(getattr(rows_of, "__self__", None), np.ndarray) else "tiles"
+            assert tiles_of(slice(0, 12)).dtype == d1.dtype == d2.dtype == np.float32
+            if order is not None:
+                return "screen"
+            # the tile's columns, d1 and d2 come grouped by slot
+            f, _, _ = metric_mod._diff_screen(ds.coords[ids])
+            grouped = state[2]
+            assert np.array_equal(tiles_of(slice(2, 9)), metric_mod._diff_tile(f[:, 2:9], f)[:, grouped])
+            assert np.array_equal(d1, np.ldexp(state[0][grouped], exp).astype(np.float32))
+            return "grouped"
 
-        for dim in (solvers_mod._SCREEN_DIM - 1, solvers_mod._SCREEN_DIM):
-            ds = Dataset.from_coords(np.random.default_rng(dim).normal(size=(12, dim)))
-            assert screened(ds) == (dim == solvers_mod._SCREEN_DIM)
-            exact = metric_mod._pair_dists(ds.coords[ids[[3, 0, 7]], None], ds.coords[ids])
-            assert np.array_equal(exact, ds.pairwise(ids[[3, 0, 7]], ids))
-        assert not screened(ds, screen=False)  # the fallback to the exact matrix
-        assert not screened(Dataset.from_matrix(ds.pairwise(ids, ids)))
-        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 11)
-        assert not screened(ds)
+        rng = np.random.default_rng(3)
+        datasets = {dim: Dataset.from_coords(rng.normal(size=(12, dim))) for dim in (0, 1, 7, 8)}
+        datasets["matrix"] = Dataset.from_matrix(datasets[8].pairwise(ids, ids))
+        for dim in (1, 7, 8):
+            exact = metric_mod._pair_dists(datasets[dim].coords[ids[sel], None], datasets[dim].coords[ids])
+            assert np.array_equal(exact, datasets[dim].pairwise(ids[sel], ids))
+        expected = {  # (m at _MATRIX_LIMIT, m past it), then the same without a screen
+            0: ("matrix", "tiles", "matrix", "tiles"),
+            1: ("matrix", "grouped", "matrix", "tiles"),
+            7: ("matrix", "grouped", "matrix", "tiles"),
+            8: ("screen", "tiles", "matrix", "tiles"),
+            "matrix": ("matrix", "tiles", "matrix", "tiles"),
+        }
+        found = dict.fromkeys(datasets, ())
+        for screen in (True, False):
+            for limit in (12, 11):
+                monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", limit)
+                for key, ds in datasets.items():
+                    found[key] += (source(ds, screen),)
+        assert found == expected
 
     @pytest.mark.parametrize("path", ["screened", "recomputed"])
     def test_each_seeding_row_is_computed_once(self, monkeypatch, path):
@@ -351,6 +405,41 @@ class TestLocalSearch:
         assert built == [ds.n]  # the exact matrix, built once the screen had passed m / 8 rows in vain
         monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
         assert solve_local_search(range(ds.n), 4, ds) == screened
+
+    def test_loose_diff_screen_falls_back_to_recomputed_tiles(self, monkeypatch):
+        # 2-d clusters 1e-9 wide: the float32 tiles pass nearly every row
+        rng = np.random.default_rng(4)
+        ds = Dataset.from_coords(rng.uniform(size=(4, 2))[rng.integers(0, 4, 400)] + 1e-9 * rng.normal(size=(400, 2)))
+        expected = solve_local_search(range(ds.n), 4, ds)  # on the exact matrix
+        built = []
+        pairwise = Dataset.pairwise
+        monkeypatch.setattr(Dataset, "pairwise", lambda self, r, c: built.append(len(r)) or pairwise(self, r, c))
+        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 100)
+        assert solve_local_search(range(ds.n), 4, ds) == expected
+        assert built and max(built) < ds.n  # recomputed tiles, and never an m x m block
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_screens_pass_rows_whose_scores_are_nan(self, monkeypatch, dim):
+        # a coordinate column near the largest float: its mean overflows, and the
+        # screen's values and slack are NaN
+        rng = np.random.default_rng(3)
+        x = np.vstack([rng.normal(size=(150, dim)), rng.normal(size=(150, dim)) + 30.0])
+        x[:, 0] = 1e308
+        ds = Dataset.from_coords(x)
+        if dim < solvers_mod._SCREEN_DIM:
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 100)
+        screened = solve_local_search(range(ds.n), 3, ds)
+        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 4096)
+        monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
+        assert solve_local_search(range(ds.n), 3, ds) == screened
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_diff_screen_selects_as_the_exact_matrix_on_blobs(self, monkeypatch, dim):
+        ds = diff_screened_datasets()[5 * (dim - 1)]  # blobs with outliers
+        exact = [solve_local_search(range(ds.n), k, ds) for k in (4, 16)]
+        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 100)
+        assert [solve_local_search(range(ds.n), k, ds) for k in (4, 16)] == exact
 
     @pytest.mark.parametrize("centers", [[5], [0, 150, 0], list(range(0, 300, 19))], ids=["one", "empty-slot", "sixteen"])
     def test_swap_scores_are_bitwise_row_independent(self, pool_dataset, centers):
