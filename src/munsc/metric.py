@@ -65,11 +65,6 @@ _MAX_SPAN_SQ = float(np.finfo(np.float64).max) / 2
 # 8-d. In 2-d the strided copy costs about as much as the kernel: m = 4096
 # took 88 -> 134 ms mirrored (2-vCPU Intel Xeon host).
 _MIRROR_DIM = 8
-# A 2-d reference set of at most this many centers is searched by a plain
-# Python loop, a larger one by numpy. Per lookup (timeit, min of 15 repeats,
-# 2-vCPU Intel Xeon host), numpy took 4.7, 5.6, 6.9, 6.1 and 6.3 us at 8, 16,
-# 32, 40 and 64 centers; the loop 1.6, 2.7, 5.0, 6.2 and 8.6 us.
-_LOOP_CENTERS = 32
 
 
 def row_blocks(count: int, row_cells: int, whole: bool = False, max_rows: int | None = None) -> Iterator[slice]:
@@ -362,9 +357,35 @@ def nearest_lookup(centers: CenterSet, data: Dataset) -> Callable[[int], tuple[i
     """`nearest_dists` one point at a time: a function from a point id, which it
     does not check, to its nearest center's position and distance, with the same
     bits. The centers are checked and the kind chosen once: a matrix row is
-    gathered; up to `_LOOP_CENTERS` 2-d centers are searched by a Python loop in
-    numpy's steps (squares summed in coordinate order, then `sqrt`, each correctly
-    rounded; the first of equal distances wins); other coordinates go through numpy."""
+    gathered, 2-d centers are swept in a sorted list, other coordinates go
+    through numpy.
+
+    Sweep (Friedman, Baskett & Shustek, IEEE Trans. Computers, 1975). The
+    centers are sorted once by (first coordinate, position). A lookup bisects
+    to the point's first coordinate u and scans outward, one center to the
+    right and one to the left in turn, so that both sides tighten the best
+    distance early. It keeps the lexicographic minimum of (distance,
+    position): the first minimum, as `argmin` picks it, whatever the visiting
+    order. Each distance is sqrt(du du + dv dv), du and dv the coordinate
+    differences, each step correctly rounded as in numpy, so it has the bits
+    of `_pair_dists` (fl(u - a) = -fl(a - u) leaves every square as it is).
+
+    Stop. A side stops at a center whose gap g = |fl(a - u)| exceeds both the
+    best distance so far and 2^-511; every center past it is strictly farther,
+    so none of them is the minimum. Rounding is monotone, so each center past
+    it has a gap g' >= g, and its distance is at least fl(sqrt(fl(g' g'))) >=
+    fl(sqrt(fl(g g))), as the other square adds a nonnegative term. And
+    fl(sqrt(fl(g g))) = g when g g is normal, as it is from g >= 2^-511 on (it
+    cannot overflow: `Dataset` bounds every square by its squared span). Write
+    g = 2^E f with f in [1, 2 - 2^-52]: fl(g g) = g g (1 + e) with |e| <=
+    2^-53, so its root lies within g |e| / (2 - |e|) <= 2^(E-53) (2 - 2^-52) /
+    (2 - 2^-53) < 2^(E-53) of g, under half the spacing 2^(E-52) of the floats
+    around g, and rounds to g (at f = 1, where the floats below g are closer,
+    the square and its root are exact). Below 2^-511 a square may underflow,
+    and a distance can be less than its gap: from the query (0, 0), the centers
+    (3e-170, 0) and (1e-170, 0) are both at distance 0, and a side that stopped
+    at its first gap would miss the first of them.
+    """
     ids = _centers_array(centers, data)
     if data.matrix is not None:
         rows = data.matrix
@@ -378,21 +399,44 @@ def nearest_lookup(centers: CenterSet, data: Dataset) -> Callable[[int], tuple[i
 
     coords = data.coords
     pts = coords[ids]
-    if pts.shape[1] == 2 and ids.size <= _LOOP_CENTERS:
-        centers = tuple(map(tuple, pts.tolist()))
+    if pts.shape[1] == 2:
+        swept = sorted((a, i, b) for i, (a, b) in enumerate(pts.tolist()))
+        firsts = [a for a, _, _ in swept]
+        k = len(swept)
 
-        def loop_2d(x: int) -> tuple[int, float]:
+        def sweep_2d(x: int) -> tuple[int, float]:
             u, v = coords[x].tolist()
-            best, pos = inf, 0
-            for i, (a, b) in enumerate(centers):
-                du = a - u
-                dv = b - v
-                d = sqrt(du * du + dv * dv)  # `*`, not `**`, which raises on overflow
-                if d < best:
-                    best, pos = d, i
+            r = bisect_left(firsts, u)  # the next center to the right, and to the left
+            l = r - 1
+            best, pos, stop = inf, 0, inf  # stop = max(best, 2^-511): a larger gap ends a side
+            while r < k or l >= 0:
+                if r < k:
+                    a, p, b = swept[r]
+                    du = a - u
+                    if du > stop:
+                        r = k
+                    else:
+                        r += 1
+                        dv = b - v
+                        d = sqrt(du * du + dv * dv)  # `*`, not `**`, which raises on overflow
+                        if d < best or d == best and p < pos:
+                            best, pos = d, p
+                            stop = d if d > 2.0**-511 else 2.0**-511
+                if l >= 0:
+                    a, p, b = swept[l]
+                    du = u - a
+                    if du > stop:
+                        l = -1
+                    else:
+                        l -= 1
+                        dv = b - v
+                        d = sqrt(du * du + dv * dv)
+                        if d < best or d == best and p < pos:
+                            best, pos = d, p
+                            stop = d if d > 2.0**-511 else 2.0**-511
             return pos, best
 
-        return loop_2d
+        return sweep_2d
 
     def broadcast(x: int) -> tuple[int, float]:
         d = _pair_dists(pts, coords[x])
@@ -415,10 +459,7 @@ def _nearest(ids: np.ndarray, carr: np.ndarray, data: Dataset) -> tuple[np.ndarr
         return dist, pos
     x = data.coords
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = x[carr].mean(axis=0)
-        c = x[carr] - shift
-        exp = -frexp(np.abs(c).max(initial=0.0))[1]  # 2^exp puts the largest |c_t| in [1/2, 1)
-        np.ldexp(c, exp, out=c)
+        c, shift, exp = _scaled(x[carr])
         f32 = x.shape[1] <= 1024 and carr.size >= _F32_COLS  # the slack's bound needs d u <= 2^-14
         screen = _screen_centers(c, exp, np.float32 if f32 else np.float64)
     for blk in tiles:
@@ -474,8 +515,8 @@ def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     Returns (s, exp, err). With D the bits of `_pair_dists` and D' = 2^exp D,
     every stored value satisfies |s[i, j] - D'[i, j]| <= err[i] + 2^-23 D'[i, j].
 
-    Screen. The points are shifted by their mean and scaled by 2^exp as
-    `_nearest` scales its centers: A = 2^exp fl(x - shift), every |A_t| < 1,
+    Screen. `_scaled` shifts the points and scales them by 2^exp, as
+    `_nearest` does its centers: A = 2^exp fl(x - shift), every |A_t| < 1,
     so no value below can overflow, and the float32 store of a distance,
     at most 2 sqrt(d), cannot either. One float64 GEMM per row tile gives
     q'[i, j] = fl(fl(fl(|A_j|^2 + fl(A_i . fl(-2 A_j))) + |A_i|^2), and
@@ -499,7 +540,7 @@ def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     floats (coordinates so small that the floor overflows) gives err = inf.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        a, exp = _scaled(x)
+        a, _, exp = _scaled(x)
         coef, neg2, sq, base = _screen_centers(a, exp, np.float64)
         err = 2.0 * np.sqrt(coef * sq + base + (a.shape[1] + 4) * 2.0**-53 * (sq + sq.max())) + 2.0**-140
     m = x.shape[0]
@@ -513,12 +554,17 @@ def _swap_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return s, exp, err
 
 
-def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """fl(x - mean) times 2^exp, the power of two that puts its largest |value| in [1/2, 1), and exp."""
-    a = x - x.mean(axis=0)
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(2^exp fl(x - shift), shift, exp) for nonempty rows x: 2^exp is the
+    power of two that puts the largest |value| in [1/2, 1), and the shift is
+    x[0] plus the mean of the differences from it. `Dataset`'s span bound keeps
+    every difference, their mean and the shift finite; the mean of the rows
+    themselves overflows for a column near the largest float."""
+    shift = x[0] + (x - x[0]).mean(axis=0)
+    a = x - shift
     exp = -frexp(np.abs(a).max(initial=0.0))[1]
     np.ldexp(a, exp, out=a)
-    return a, exp
+    return a, shift, exp
 
 
 def _diff_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -526,7 +572,7 @@ def _diff_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     coordinate rows x of 1 to 7 dims, computed tile by tile by `_diff_tile`.
 
     Returns (f, exp, err): f = fl32(A).T, one contiguous row per coordinate,
-    for A = 2^exp fl(x - mean) as in `_swap_screen`, rounded to float32 once.
+    for A = 2^exp fl(x - shift) as in `_swap_screen`, rounded to float32 once.
     With D the bits of `_pair_dists` and D' = 2^exp D, every value s of
     `_diff_tile(f[:, rows], f)` satisfies |s[i, j] - D'[i, j]| <= err[i] +
     2^-21 D'[i, j].
@@ -553,7 +599,7 @@ def _diff_screen(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     rounding err_i. Every |A_t| < 1, so no float32 value can overflow.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        a, exp = _scaled(x)
+        a, _, exp = _scaled(x)
         norm = np.sqrt(np.einsum("ij,ij->i", a, a))
         err = 2.0**-23 * (norm + norm.max()) + sqrt(x.shape[1]) * (2.0**-73 + 2.0 ** (exp - 535))
     return np.ascontiguousarray(a.T, dtype=np.float32), exp, err

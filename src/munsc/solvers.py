@@ -439,7 +439,7 @@ def solve_local_search(
                 thr = cur * (1.0 - 1e-12)
                 risks = _swap_risks(tile[i:], k, *scored, *state[3:])
                 bound = ldexp(thr, exp) * (1.0 + rel) + slack[blk.start + i : blk.stop]
-                # a NaN score, as from coordinates whose mean overflows, passes too
+                # a NaN score passes too, as the comparison is False for it
                 for hit in np.flatnonzero(~(risks.min(axis=1) >= bound)):
                     pos = blk.start + i + int(hit)
                     if tiles_of is rows_of:

@@ -22,7 +22,7 @@ from munsc import (
     truncated_risk,
 )
 import munsc.metric as metric_mod
-from munsc.metric import _LOOP_CENTERS, farthest_order, nearest_dists, nearest_lookup, row_blocks
+from munsc.metric import _pair_dists, farthest_order, nearest_dists, nearest_lookup, row_blocks
 
 
 def linear_scan_nearest(data, x, centers):
@@ -140,8 +140,8 @@ def assert_nearest_is_pairwise(pts, centers, kind):
             np.testing.assert_array_equal(pos, block.argmin(axis=1), err_msg=f"{ds.mode} {entry}")
 
 
-def lookup_kind(dim: int, m: int) -> str:
-    return "loop_2d" if dim == 2 and m <= _LOOP_CENTERS else "broadcast"
+def lookup_kind(dim: int) -> str:
+    return "sweep_2d" if dim == 2 else "broadcast"
 
 
 class TestNearestCenter:
@@ -187,21 +187,22 @@ class TestNearestCenter:
         pts = rng.normal(size=(200, dim)) * 10 ** rng.uniform(-3, 3) + offset
         pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
         centers = sorted({*range(0, 200, 9), 40, 105, 117})
-        assert_nearest_is_pairwise(pts, centers, lookup_kind(dim, len(centers)))
+        assert_nearest_is_pairwise(pts, centers, lookup_kind(dim))
 
-    @pytest.mark.parametrize("m", [1, 2, 16, _LOOP_CENTERS, _LOOP_CENTERS + 1, 64])
+    @pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 263])
     @pytest.mark.parametrize("seed", range(4))
     def test_center_counts_around_the_loop_bound(self, m, seed):
+        """Any count of 2-d centers is swept."""
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(300, 2)) * 10 ** rng.uniform(-6, 6, size=2) + rng.normal(scale=1e3, size=2)
-        assert_nearest_is_pairwise(pts, rng.choice(300, size=m, replace=False), lookup_kind(2, m))
+        assert_nearest_is_pairwise(pts, rng.choice(300, size=m, replace=False), lookup_kind(2))
 
     @pytest.mark.parametrize("m", [8, 40])
     def test_duplicate_centers(self, m):
         rng = np.random.default_rng(m)
         pts = rng.integers(-3, 4, size=(120, 2)).astype(float)  # few distinct points: duplicates and ties
         pts[:m:2] = pts[1:m:2]
-        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
+        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2))
 
     @pytest.mark.parametrize("m", [4, 36])
     def test_exact_ties(self, m):
@@ -210,7 +211,7 @@ class TestNearestCenter:
         ring = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (-4.0, -3.0), (0.0, -5.0), (3.0, -4.0)]
         centers = [ring[i % len(ring)] for i in range(m)]
         queries = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-1.0, 2.5)]
-        assert_nearest_is_pairwise(np.array(centers + queries), range(m), lookup_kind(2, m))
+        assert_nearest_is_pairwise(np.array(centers + queries), range(m), lookup_kind(2))
 
     def test_tie_made_by_the_square_root(self):
         """Two squared sums that differ but share a rounded square root: the
@@ -222,11 +223,11 @@ class TestNearestCenter:
             by_root.setdefault(math.sqrt(s), {})[s] = (1.5, b)
         centers = next(group for group in by_root.values() if len(group) > 1)
         larger, smaller = sorted(centers, reverse=True)[:2]
-        for m in (2, _LOOP_CENTERS + 2):
+        for m in (2, 34):
             pts = np.array([centers[larger], centers[smaller]] + [(100.0, 100.0)] * (m - 2) + [(0.0, 0.0)])
             for entry in NEAREST:
                 assert nearest_center(m, CenterSet.of(range(m)), Dataset.from_coords(pts), entry) == (0, math.sqrt(larger))
-            assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
+            assert_nearest_is_pairwise(pts, range(m), lookup_kind(2))
 
     @pytest.mark.parametrize("m", [6, 40])
     def test_overflowing_squares(self, m):
@@ -242,7 +243,22 @@ class TestNearestCenter:
         pts /= 4  # a squared span of 7.8e307
         for entry in NEAREST:
             assert 6e153 < nearest_center(len(pts) - 1, CenterSet.of(range(m)), Dataset.from_coords(pts), entry)[1] < math.inf
-        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2, m))
+        assert_nearest_is_pairwise(pts, range(m), lookup_kind(2))
+
+
+class TestSweep2d:
+    """`nearest_lookup`'s sorted sweep over 2-d centers, lookup by lookup,
+    against `_pair_dists` and `argmin`: the same position and distance bits."""
+
+    def test_matches_pair_dists(self, sweep_case):
+        pts, m = sweep_case
+        data = Dataset.from_coords(pts)
+        lookup = nearest_lookup(CenterSet.of(range(m)), data)
+        assert lookup.__name__ == "sweep_2d"
+        for x in range(data.n):
+            d = _pair_dists(data.coords[:m], data.coords[x])
+            pos, dist = lookup(x)
+            assert (pos, dist.hex()) == (int(d.argmin()), float(d.min()).hex()), x
 
 
 def test_row_blocks_cover_the_range(monkeypatch):

@@ -19,7 +19,6 @@ from munsc import (
     observe,
     phi_alpha,
 )
-from munsc.metric import _LOOP_CENTERS
 from munsc.params import psi_truncation_count
 from munsc.solvers import Solver, exhaustive_solver
 
@@ -258,8 +257,8 @@ def _copy_records(data: Dataset, centers) -> tuple[str, np.ndarray, np.ndarray]:
     the distances and slots it recorded in phase 3."""
     centers = [int(c) for c in centers]
     m = len(centers)
-    cfg = SelectProcConfig(k=2, delta=0.1, alpha=0.1, profile=PAPER, p1_end=m, p3_end=2 * m + data.n)
-    assert cfg.k_plus >= m
+    cfg = SelectProcConfig(k=3, delta=0.1, alpha=0.1, profile=PAPER, p1_end=m, p3_end=2 * m + data.n)
+    assert cfg.k_plus >= m  # 264
     state = SelectProcState(cfg, data, Solver("fixed", 1.0, lambda ids, k, data: CenterSet.of(centers)))
     for x in centers + centers + list(range(data.n)):
         observe(state, x)
@@ -277,8 +276,8 @@ def _check_copy(pts, centers, kind: str) -> None:
     np.testing.assert_array_equal(slots, block.argmin(axis=1))
 
 
-def _kind(dim: int, m: int) -> str:
-    return "loop_2d" if dim == 2 and m <= _LOOP_CENTERS else "broadcast"
+def _kind(dim: int) -> str:
+    return "sweep_2d" if dim == 2 else "broadcast"
 
 
 class TestNearestRef:
@@ -293,7 +292,7 @@ class TestNearestRef:
         pts = rng.normal(size=(200, dim)) * 10 ** rng.uniform(-3, 3) + offset
         pts[100:120] = pts[40]  # duplicated rows: ties go to the smallest position
         centers = sorted({*range(0, 200, 9), 40, 105, 117})
-        _check_copy(pts, centers, _kind(dim, len(centers)))
+        _check_copy(pts, centers, _kind(dim))
 
     def test_matrix_mode(self):
         coords = Dataset.from_coords(np.random.default_rng(3).normal(size=(40, 3)))
@@ -301,29 +300,29 @@ class TestNearestRef:
 
 
 class TestNearestLookup2d:
-    """In 2-d a copy searches up to `_LOOP_CENTERS` reference centers by a
-    Python loop and more by numpy, and records the bits of `pairwise` either way."""
+    """In 2-d a copy sweeps its reference centers, sorted by their first
+    coordinate, whatever their count, and records the bits of `pairwise`."""
 
-    @pytest.mark.parametrize("m", [1, 2, 16, _LOOP_CENTERS, _LOOP_CENTERS + 1, 64])
+    @pytest.mark.parametrize("m", [1, 2, 16, 32, 33, 64, 263])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_points(self, m, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(300, 2)) * 10 ** rng.uniform(-6, 6, size=2) + rng.normal(scale=1e3, size=2)
-        _check_copy(pts, rng.choice(300, size=m, replace=False), _kind(2, m))
+        _check_copy(pts, rng.choice(300, size=m, replace=False), _kind(2))
 
     @pytest.mark.parametrize("m", [8, 40])
     def test_duplicate_centers(self, m):
         rng = np.random.default_rng(m)
         pts = rng.integers(-3, 4, size=(120, 2)).astype(float)  # few distinct points: duplicates and ties
         pts[:m:2] = pts[1:m:2]
-        _check_copy(pts, range(m), _kind(2, m))
+        _check_copy(pts, range(m), _kind(2))
 
     @pytest.mark.parametrize("m", [4, 36])
     def test_exact_ties(self, m):
         ring = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (-4.0, -3.0), (0.0, -5.0), (3.0, -4.0)]
         centers = [ring[i % len(ring)] for i in range(m)]
         queries = [(0.0, 0.0), (0.0, 0.5), (1.0, 1.0), (-1.0, 2.5)]
-        _check_copy(np.array(centers + queries), range(m), _kind(2, m))
+        _check_copy(np.array(centers + queries), range(m), _kind(2))
 
     def test_tie_made_by_the_square_root(self):
         by_root: dict[float, dict[float, tuple[float, float]]] = {}
@@ -333,16 +332,20 @@ class TestNearestLookup2d:
             by_root.setdefault(math.sqrt(s), {})[s] = (1.5, b)
         centers = next(group for group in by_root.values() if len(group) > 1)
         larger, smaller = sorted(centers, reverse=True)[:2]
-        for m in (2, _LOOP_CENTERS + 2):
+        for m in (2, 34):
             pts = np.array([centers[larger], centers[smaller]] + [(100.0, 100.0)] * (m - 2) + [(0.0, 0.0)])
-            _check_copy(pts, range(m), _kind(2, m))
+            _check_copy(pts, range(m), _kind(2))
+
+    def test_sweep_cases(self, sweep_case):
+        pts, m = sweep_case
+        _check_copy(pts, range(m), "sweep_2d")
 
     @pytest.mark.parametrize("m", [6, 40])
     def test_overflowing_squares(self, m):
         rng = np.random.default_rng(m)
         centers = rng.uniform(0.5e154, 1.2e154, size=(m, 2)) / 4
         queries = np.concatenate([rng.uniform(-1.2e154, 1.2e154, size=(40, 2)), [[-1.3e154, -1.3e154]]]) / 4
-        _check_copy(np.concatenate([centers, queries]), range(m), _kind(2, m))
+        _check_copy(np.concatenate([centers, queries]), range(m), _kind(2))
 
 
 class TestObservePointIds:

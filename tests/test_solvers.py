@@ -418,21 +418,53 @@ class TestLocalSearch:
         assert solve_local_search(range(ds.n), 4, ds) == expected
         assert built and max(built) < ds.n  # recomputed tiles, and never an m x m block
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("dim", [2, 8])
-    def test_screens_pass_rows_whose_scores_are_nan(self, monkeypatch, dim):
-        # a coordinate column near the largest float: its mean overflows, and the
-        # screen's values and slack are NaN
+    @staticmethod
+    def _far_column(dim: int) -> Dataset:
+        """Two 2-d or 8-d blobs whose first coordinate is 1e308 for every point."""
         rng = np.random.default_rng(3)
         x = np.vstack([rng.normal(size=(150, dim)), rng.normal(size=(150, dim)) + 30.0])
         x[:, 0] = 1e308
-        ds = Dataset.from_coords(x)
+        return Dataset.from_coords(x)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_screens_pass_rows_whose_scores_are_nan(self, monkeypatch, dim):
+        # every screened value NaN: each row must pass to an exact row, until the
+        # loose screen falls back, and select as the exact matrix does
+        ds = self._far_column(dim)
+        expected = solve_local_search(range(ds.n), 3, ds)
+        swap_screen, diff_tile = solvers_mod._swap_screen, solvers_mod._diff_tile
+
+        def nan_screen(x):
+            s, exp, err = swap_screen(x)
+            return np.full_like(s, np.nan), exp, err
+
+        monkeypatch.setattr(solvers_mod, "_swap_screen", nan_screen)
+        monkeypatch.setattr(solvers_mod, "_diff_tile", lambda a, b: np.full_like(diff_tile(a, b), np.nan))
+        exact_rows = []
+        pair_dists = solvers_mod._pair_dists
+        monkeypatch.setattr(solvers_mod, "_pair_dists", lambda a, b: exact_rows.append(len(a)) or pair_dists(a, b))
         if dim < solvers_mod._SCREEN_DIM:
             monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 100)
-        screened = solve_local_search(range(ds.n), 3, ds)
-        monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 4096)
-        monkeypatch.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
-        assert solve_local_search(range(ds.n), 3, ds) == screened
+        assert solve_local_search(range(ds.n), 3, ds) == expected
+        assert len(exact_rows) > 3  # past the seeding's rows
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_screens_shift_a_column_near_the_largest_float(self, monkeypatch, dim):
+        # its mean overflows, but the shift is a point of the data plus the mean
+        # of the differences from it: the screen stays finite and never falls back
+        ds = self._far_column(dim)
+        expected = solve_local_search(range(ds.n), 3, ds)
+        screened = []
+        source = solvers_mod._distance_source
+        monkeypatch.setattr(solvers_mod, "_distance_source", lambda ids, data, screen: screened.append(screen) or source(ids, data, screen))
+        if dim < solvers_mod._SCREEN_DIM:
+            monkeypatch.setattr(solvers_mod, "_MATRIX_LIMIT", 100)
+            f, _, err = metric_mod._diff_screen(ds.coords)
+        else:
+            f, _, err = metric_mod._swap_screen(ds.coords)
+        assert np.isfinite(f).all() and np.isfinite(err).all()
+        assert solve_local_search(range(ds.n), 3, ds) == expected
+        assert screened == [True]
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_diff_screen_selects_as_the_exact_matrix_on_blobs(self, monkeypatch, dim):
