@@ -426,12 +426,20 @@ class TestLocalSearch:
         x[:, 0] = 1e308
         return Dataset.from_coords(x)
 
+    @staticmethod
+    def _exact_selection(monkeypatch, ds: Dataset):
+        """The 3-center selection on the exact matrix, with no screen at any dim."""
+        with monkeypatch.context() as m:
+            m.setattr(solvers_mod, "_SCREEN_DIM", 10**9)
+            m.setattr(solvers_mod, "_MATRIX_LIMIT", 4096)
+            return solve_local_search(range(ds.n), 3, ds)
+
     @pytest.mark.parametrize("dim", [2, 8])
     def test_screens_pass_rows_whose_scores_are_nan(self, monkeypatch, dim):
         # every screened value NaN: each row must pass to an exact row, until the
         # loose screen falls back, and select as the exact matrix does
         ds = self._far_column(dim)
-        expected = solve_local_search(range(ds.n), 3, ds)
+        expected = self._exact_selection(monkeypatch, ds)
         swap_screen, diff_tile = solvers_mod._swap_screen, solvers_mod._diff_tile
 
         def nan_screen(x):
@@ -453,7 +461,7 @@ class TestLocalSearch:
         # its mean overflows, but the shift is a point of the data plus the mean
         # of the differences from it: the screen stays finite and never falls back
         ds = self._far_column(dim)
-        expected = solve_local_search(range(ds.n), 3, ds)
+        expected = self._exact_selection(monkeypatch, ds)
         screened = []
         source = solvers_mod._distance_source
         monkeypatch.setattr(solvers_mod, "_distance_source", lambda ids, data, screen: screened.append(screen) or source(ids, data, screen))
